@@ -2,7 +2,9 @@
 // paper's evaluation (§3.7.2, §4) plus the ablations, printing each
 // with the paper's claim alongside the measured values. All runs are
 // deterministic. With -run, only experiments whose ID contains the
-// given substring execute.
+// given substring execute. With -no-wall, the host wall-time lines are
+// left out, so the output is byte-identical from run to run and
+// machine to machine (scenarios/golden/tables.txt is that output).
 package main
 
 import (
@@ -80,6 +82,7 @@ func microRecords() []benchRecord {
 func main() {
 	run := flag.String("run", "", "only run experiments whose ID contains this substring")
 	benchJSON := flag.String("bench-json", "", "write per-experiment ns/op, B/op, allocs/op to this file (e.g. BENCH_e2e.json)")
+	noWall := flag.Bool("no-wall", false, "omit the host wall-time lines, leaving only deterministic output")
 	flag.Parse()
 
 	type exp struct {
@@ -144,14 +147,19 @@ func main() {
 			})
 		}
 		fmt.Print(tab)
-		fmt.Printf("  (%.2fs wall)\n\n", wall.Seconds())
+		if !*noWall {
+			fmt.Printf("  (%.2fs wall)\n", wall.Seconds())
+		}
+		fmt.Println()
 		ran++
 	}
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "no experiment matches -run=%q\n", *run)
 		os.Exit(1)
 	}
-	fmt.Printf("%d experiments in %.1fs\n", ran, time.Since(start).Seconds())
+	if !*noWall {
+		fmt.Printf("%d experiments in %.1fs\n", ran, time.Since(start).Seconds())
+	}
 
 	if *benchJSON != "" {
 		if err := writeBenchJSON(*benchJSON, records); err != nil {

@@ -101,10 +101,10 @@ func (tm *Timer) scheduleLocked(t Time) {
 // next Wait returns immediately (raises do not accumulate past one).
 // Exactly one process may wait at a time.
 type Signal struct {
-	rt   *Runtime
-	nm   string
-	p    *Proc
-	set  bool
+	rt  *Runtime
+	nm  string
+	p   *Proc
+	set bool
 }
 
 // NewSignal returns a signal. The name shows up in deadlock dumps as
