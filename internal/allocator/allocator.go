@@ -82,11 +82,11 @@ type refChange struct {
 }
 
 // waiter is one process blocked in Get while the pool is dry: the
-// signal it sleeps on, and the slot the granting Release fills before
+// event it sleeps on, and the slot the granting Release fills before
 // raising it. Waiter records are recycled through a free list.
 type waiter struct {
-	sig *occam.Signal
-	buf *Buffer
+	granted *occam.Event
+	buf     *Buffer
 }
 
 // Pool is the allocator handle. Create with New, then call
@@ -216,10 +216,11 @@ func (pl *Pool) Get(p *occam.Proc) *Buffer {
 		w = pl.waiterFree[n-1]
 		pl.waiterFree = pl.waiterFree[:n-1]
 	} else {
-		w = &waiter{sig: occam.NewSignal(pl.rt, "alloc.wait")}
+		w = &waiter{granted: occam.NewEvent(pl.rt, "alloc.wait")}
 	}
 	pl.waiters = append(pl.waiters, w)
-	w.sig.Wait(p)
+	w.granted.Wait(p)
+	w.granted.Clear()
 	buf := w.buf
 	w.buf = nil
 	pl.waiterFree = append(pl.waiterFree, w)
@@ -236,7 +237,7 @@ func (pl *Pool) wakeWaiter(p *occam.Proc) {
 	pl.waiters[len(pl.waiters)-1] = nil
 	pl.waiters = pl.waiters[:len(pl.waiters)-1]
 	w.buf = pl.grant(p)
-	w.sig.Raise()
+	w.granted.Set()
 }
 
 // Retain adds extra references before a buffer descriptor is sent to

@@ -190,8 +190,8 @@ type LinkStats struct {
 // each transmission is one occam.Timer event, and link-to-link
 // forwarding happens directly in the transmission-end callback. Only
 // delivery to a host — which must be able to block on the host's Rx —
-// runs in a process, one per link, woken by a Signal when a
-// transmission ends at a host hop.
+// runs in a process, one per link, woken by an occam.Event raised when
+// a transmission ends at a host hop.
 type Link struct {
 	rt   *occam.Runtime
 	nm   string
@@ -220,7 +220,7 @@ type Link struct {
 
 	dlvm    Message // message awaiting host delivery
 	dlvHost *Host
-	dlvSig  *occam.Signal
+	dlvEv   *occam.Event // high while dlvm awaits runDeliver
 }
 
 // NewLink creates a link and starts its delivery process.
@@ -242,7 +242,7 @@ func NewLink(rt *occam.Runtime, name string, cfg LinkConfig) *Link {
 		faultStalls: obs.NewCounter(),
 	}
 	l.txTimer = occam.NewTimer(rt, l.txDone)
-	l.dlvSig = occam.NewSignal(rt, name+".deliver")
+	l.dlvEv = occam.NewEvent(rt, name+".deliver")
 	rt.Go(name+".tx", nil, occam.High, l.runDeliver)
 	return l
 }
@@ -455,7 +455,7 @@ func (l *Link) txDone(s occam.Sched) {
 		case *Host:
 			l.dlvm = m
 			l.dlvHost = hop
-			s.Raise(l.dlvSig)
+			s.Set(l.dlvEv)
 			return // runDeliver restarts the transmitter
 		default:
 			panic("atm: unknown port type at " + l.nm)
@@ -473,7 +473,8 @@ func (l *Link) txDone(s occam.Sched) {
 // and restarts the transmitter when the delivery completes.
 func (l *Link) runDeliver(p *occam.Proc) {
 	for {
-		l.dlvSig.Wait(p)
+		l.dlvEv.Wait(p)
+		l.dlvEv.Clear()
 		m, h := l.dlvm, l.dlvHost
 		l.dlvm, l.dlvHost = Message{}, nil
 		h.Deliver(p, m)

@@ -25,7 +25,7 @@ import (
 
 func (b *Box) startAudio() {
 	rt, name := b.rt, b.cfg.Name
-	b.micOutBuf = decouple.New[wireMsg](rt, b.audioNode, name+".micbuf", 8, nil,
+	b.micOutBuf = decouple.New[wireMsg](rt, name+".micbuf", 8,
 		decouple.WithReady(), decouple.WithObs(b.cfg.Obs))
 
 	outPri, inPri := occam.High, occam.Low
@@ -60,14 +60,13 @@ func (b *Box) runMicReader(p *occam.Proc) {
 		seq     uint32
 		perSeg  = b.cfg.BlocksPerSegment
 	)
-	// The guard slice is hoisted: Recv overwrites cmd/ready wholesale
-	// on every fire, so the variables can be reused across iterations.
+	// The guard slice is hoisted: Recv overwrites cmd wholesale on
+	// every fire, so the variable can be reused across iterations.
 	var (
 		cmd    audioCmd
-		ready  bool
 		guards = []occam.Guard{
 			occam.Recv(b.audioCmds, &cmd),
-			sender.ReadyGuard(&ready),
+			sender.ReadyGuard(),
 			occam.Skip(),
 		}
 	)
@@ -82,7 +81,7 @@ func (b *Box) runMicReader(p *occam.Proc) {
 				break
 			}
 			if which == 1 {
-				sender.Update(ready)
+				sender.Update()
 				continue
 			}
 			switch {
@@ -161,7 +160,7 @@ func (b *Box) runMicReader(p *occam.Proc) {
 // 20 Mbit/s link to the server.
 func (b *Box) runServerWriter(p *occam.Proc) {
 	for {
-		msg := b.micOutBuf.Out.Recv(p)
+		msg := b.micOutBuf.Take(p)
 		b.audioToServer.Send(p, msg, msg.W.Len()+segment.StreamNumberSize)
 	}
 }

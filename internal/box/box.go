@@ -245,7 +245,7 @@ type Box struct {
 	pool      *allocator.Pool
 	toSwitch  *occam.Chan[*allocator.Buffer]
 	switchCmd *occam.Chan[SwitchCommand]
-	outBufs   [numOutputs + 1]*decouple.Process[*allocator.Buffer]
+	outBufs   [numOutputs + 1]*decouple.Buffer[*allocator.Buffer]
 	swStats   SwitchStats
 	netVCI    map[uint32][]uint32 // stream → outgoing VCIs
 	// shedNet parks a relay stream's forwarded fan-out while the
@@ -284,7 +284,7 @@ type Box struct {
 	audioCmds *occam.Chan[audioCmd]
 	mix       *mixer.Mixer
 	muter     *muting.Muter
-	micOutBuf *decouple.Process[wireMsg]
+	micOutBuf *decouple.Buffer[wireMsg]
 	audioStat AudioStats
 
 	// Capture board.

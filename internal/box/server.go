@@ -55,8 +55,7 @@ func (b *Box) startServer() {
 		if ws := b.cfg.SinkStalls[slotName(slot)]; len(ws) > 0 {
 			opts = append(opts, decouple.WithStall(faultinject.Stalls(ws)))
 		}
-		b.outBufs[slot] = decouple.New[*allocator.Buffer](
-			rt, b.serverNode, name+"."+nm, capacity, nil, opts...)
+		b.outBufs[slot] = decouple.New[*allocator.Buffer](rt, name+"."+nm, capacity, opts...)
 	}
 	mk(bufSpeaker, "spkbuf", switchBufferSegments)
 	mk(bufNetAudio, "netAbuf", netAudioBufferSegments)
@@ -110,14 +109,13 @@ func (b *Box) runSwitch(p *occam.Proc) {
 	// The guard slice is built once and reused: the sender ready
 	// guards track their own conditions across iterations.
 	var (
-		cmd   SwitchCommand
-		buf   *allocator.Buffer
-		ready [numOutBufs]bool
+		cmd SwitchCommand
+		buf *allocator.Buffer
 	)
 	guards := make([]occam.Guard, 0, numOutBufs+2)
 	guards = append(guards, occam.Recv(b.switchCmd, &cmd))
-	for i, s := range senders {
-		guards = append(guards, s.ReadyGuard(&ready[i]))
+	for _, s := range senders {
+		guards = append(guards, s.ReadyGuard())
 	}
 	guards = append(guards, occam.Recv(b.toSwitch, &buf))
 	slots := make([]int, 0, numOutBufs)
@@ -127,7 +125,7 @@ func (b *Box) runSwitch(p *occam.Proc) {
 		case idx == 0:
 			b.handleSwitchCommand(p, rep, routes, shed, cmd)
 		case idx <= numOutBufs:
-			senders[idx-1].Update(ready[idx-1])
+			senders[idx-1].Update()
 		default:
 			r := routes[buf.Stream]
 			if r == nil {
@@ -385,9 +383,9 @@ func (b *Box) runCaptureIn(p *occam.Proc) {
 // output device's single copy (§3.4: "once out for each output
 // device"), after which the buffer index is free to recycle.
 func (b *Box) runAudioOut(p *occam.Proc) {
-	out := b.outBufs[bufSpeaker].Out
+	out := b.outBufs[bufSpeaker]
 	for {
-		buf := out.Recv(p)
+		buf := out.Take(p)
 		size := buf.Payload.Len() + segment.StreamNumberSize
 		p.Consume(time.Duration(size) * serverCopyPerKB / 1024)
 		w := b.wires.Copy(buf.Payload.Bytes())
@@ -399,9 +397,9 @@ func (b *Box) runAudioOut(p *occam.Proc) {
 // runDisplayOut moves display-bound video over the fifo to the mixer
 // board (copy out at the display device, as in runAudioOut).
 func (b *Box) runDisplayOut(p *occam.Proc) {
-	out := b.outBufs[bufDisplay].Out
+	out := b.outBufs[bufDisplay]
 	for {
-		buf := out.Recv(p)
+		buf := out.Take(p)
 		size := buf.Payload.Len()
 		p.Consume(time.Duration(size) * serverCopyPerKB / 1024)
 		w := b.wires.Copy(buf.Payload.Bytes())
@@ -462,15 +460,13 @@ func reassemble(m map[uint32]*chunkedVideo, msg atm.Message) (segment.Wire, bool
 // following audio segments" (§4.2) on the shared first link.
 func (b *Box) runNetOut(p *occam.Proc) {
 	rep := newReporter(b.cfg.Name+".netOut", b.Reports)
-	audioOut := b.outBufs[bufNetAudio].Out
-	videoOut := b.outBufs[bufNetVideo].Out
-	var buf *allocator.Buffer
+	bufs := [2]*decouple.Buffer[*allocator.Buffer]{b.outBufs[bufNetAudio], b.outBufs[bufNetVideo]}
 	guards := []occam.Guard{
-		occam.Recv(audioOut, &buf), // principle 2: audio first
-		occam.Recv(videoOut, &buf),
+		bufs[0].Offered(), // principle 2: audio first
+		bufs[1].Offered(),
 	}
 	for {
-		p.Alt(guards...)
+		buf := bufs[p.Alt(guards...)].Take(p)
 		vcis, ok := b.netVCI[buf.Stream]
 		if !ok {
 			vcis = []uint32{buf.Stream}
@@ -522,13 +518,13 @@ func (b *Box) runNetOut(p *occam.Proc) {
 func (b *Box) sendChunked(p *occam.Proc, rep *Reporter, vci uint32, w segment.Wire) {
 	total := (w.Len() + netChunkSize - 1) / netChunkSize
 	w.Retain(total - 1)
-	audioOut := b.outBufs[bufNetAudio].Out
+	audioOut := b.outBufs[bufNetAudio]
 	for i := 0; i < total; i++ {
 		// Drain any waiting audio first (principle 2 at chunk
 		// granularity).
 		for {
-			var abuf *allocator.Buffer
-			if p.Alt(occam.Recv(audioOut, &abuf), occam.Skip()) == 1 {
+			abuf, ok := audioOut.TryTake(p)
+			if !ok {
 				break
 			}
 			avcis, ok := b.netVCI[abuf.Stream]

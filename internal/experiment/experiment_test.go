@@ -296,6 +296,18 @@ func TestE17SwitchRateReasonable(t *testing.T) {
 	}
 }
 
+// TestE17SwitchCountExact ratchets the scheduler work of E17's call
+// exactly: the count is deterministic, so any extra process hop on the
+// per-segment path (a decoupling buffer regaining a process of its
+// own, say) changes it. Lower it when a change removes switches; never
+// raise it to make a change pass.
+func TestE17SwitchCountExact(t *testing.T) {
+	const want = 27093
+	if got := e17Switches(); got != want {
+		t.Fatalf("E17 call made %d context switches in %ds, want exactly %d", got, e17Seconds, want)
+	}
+}
+
 func TestE18LatencyGrowsWithSegmentSize(t *testing.T) {
 	tab := E18()
 	parse := func(s string) float64 {

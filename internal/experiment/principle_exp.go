@@ -323,7 +323,7 @@ func e20Run(ready bool) (offered, delivered int, dropped uint64, blocked time.Du
 	if ready {
 		opts = append(opts, decouple.WithReady())
 	}
-	d := decouple.New[int](rt, nil, "buf", 4, nil, opts...)
+	d := decouple.New[int](rt, "buf", 4, opts...)
 	var sender *decouple.Sender[int]
 	if ready {
 		sender = decouple.NewSender(d)
@@ -334,15 +334,14 @@ func e20Run(ready bool) (offered, delivered int, dropped uint64, blocked time.Du
 			p.Sleep(2 * time.Millisecond)
 			offered++
 			if ready {
-				var rdy bool
 				// Drain any pending TRUE first.
-				if p.Alt(sender.ReadyGuard(&rdy), occam.Skip()) == 0 {
-					sender.Update(rdy)
+				if p.Alt(sender.ReadyGuard(), occam.Skip()) == 0 {
+					sender.Update()
 				}
 				sender.Deliver(p, i)
 			} else {
 				before := p.Now()
-				d.In.Send(p, i)
+				d.Put(p, i)
 				blocked += time.Duration(p.Now() - before)
 			}
 		}
@@ -350,7 +349,7 @@ func e20Run(ready bool) (offered, delivered int, dropped uint64, blocked time.Du
 	got := 0
 	rt.Go("slowConsumer", nil, occam.Low, func(p *occam.Proc) {
 		for {
-			d.Out.Recv(p)
+			d.Take(p)
 			got++
 			p.Sleep(10 * time.Millisecond) // 5x slower than the producer
 		}
@@ -399,19 +398,18 @@ func a1Run(downstream bool) (fastN, slowN int) {
 	if downstream {
 		// Paper: switch first, then one buffer per output with ready
 		// protocol.
-		bufF := decouple.New[item](rt, nil, "bf", 8, nil, decouple.WithReady())
-		bufS := decouple.New[item](rt, nil, "bs", 8, nil, decouple.WithReady())
+		bufF := decouple.New[item](rt, "bf", 8, decouple.WithReady())
+		bufS := decouple.New[item](rt, "bs", 8, decouple.WithReady())
 		rt.Go("switch", nil, occam.High, func(p *occam.Proc) {
 			sf, ss := decouple.NewSender(bufF), decouple.NewSender(bufS)
 			for i := 0; ; i++ {
 				p.Sleep(time.Millisecond)
 				it := item{dst: i % 2}
-				var rdy bool
-				if p.Alt(sf.ReadyGuard(&rdy), occam.Skip()) == 0 {
-					sf.Update(rdy)
+				if p.Alt(sf.ReadyGuard(), occam.Skip()) == 0 {
+					sf.Update()
 				}
-				if p.Alt(ss.ReadyGuard(&rdy), occam.Skip()) == 0 {
-					ss.Update(rdy)
+				if p.Alt(ss.ReadyGuard(), occam.Skip()) == 0 {
+					ss.Update()
 				}
 				if it.dst == 0 {
 					sf.Deliver(p, it)
@@ -422,27 +420,27 @@ func a1Run(downstream bool) (fastN, slowN int) {
 		})
 		rt.Go("fwdF", nil, occam.High, func(p *occam.Proc) {
 			for {
-				fastOut.Send(p, bufF.Out.Recv(p))
+				fastOut.Send(p, bufF.Take(p))
 			}
 		})
 		rt.Go("fwdS", nil, occam.High, func(p *occam.Proc) {
 			for {
-				slowOut.Send(p, bufS.Out.Recv(p))
+				slowOut.Send(p, bufS.Take(p))
 			}
 		})
 	} else {
 		// Ablation: one shared buffer before the switch; the switch
 		// blocks sending to the slow output.
-		shared := decouple.New[item](rt, nil, "shared", 8, nil)
+		shared := decouple.New[item](rt, "shared", 8)
 		rt.Go("producer", nil, occam.High, func(p *occam.Proc) {
 			for i := 0; ; i++ {
 				p.Sleep(time.Millisecond)
-				shared.In.Send(p, item{dst: i % 2})
+				shared.Put(p, item{dst: i % 2})
 			}
 		})
 		rt.Go("switch", nil, occam.High, func(p *occam.Proc) {
 			for {
-				it := shared.Out.Recv(p)
+				it := shared.Take(p)
 				if it.dst == 0 {
 					fastOut.Send(p, it) // blocks when fast consumer busy
 				} else {

@@ -31,7 +31,7 @@
 // (dense per-VCI table, no allocation) and applies the destination
 // port's admission pipeline, and only delivery — which must be able to
 // block on host backpressure — happens in the port's transmitter
-// process, woken by an occam.Signal when an arrival starts a new cell
+// process, woken by an occam.Event when an arrival starts a new cell
 // train. Per message the fabric costs two timer events (one crossing,
 // amortised share of one train) instead of the eight-plus park/wake
 // handshakes of a process-per-stage pipeline, and the ports' shards
@@ -197,8 +197,8 @@ func (f *Fabric) Attach(h *atm.Host) *Port {
 		faultStal: obs.NewCounter(),
 	}
 	pt.crossTimer = occam.NewTimer(f.rt, pt.crossDone)
-	pt.txWake = occam.NewTimer(f.rt, func(s occam.Sched) { s.Raise(pt.txSig) })
-	pt.txSig = occam.NewSignal(f.rt, pt.nm+".txwake")
+	pt.txWake = occam.NewTimer(f.rt, func(s occam.Sched) { s.Set(pt.txEv) })
+	pt.txEv = occam.NewEvent(f.rt, pt.nm+".txwake")
 	f.ports = append(f.ports, pt)
 	if f.reg != nil {
 		pt.observe(f.reg)
@@ -363,13 +363,13 @@ type Port struct {
 	// Egress shard: the bounded cell queue, the train being
 	// transmitted, and the transmitter process. txBusy covers the whole
 	// train lifecycle (pacing + delivery); txWake fires at train end
-	// and raises txSig to hand the sliced train to runTx for delivery.
+	// and raises txEv to hand the sliced train to runTx for delivery.
 	egq     []atm.Message
 	egCells int
 	batch   []atm.Message // current cell train (reused)
 	txBusy  bool
 	txWake  *occam.Timer
-	txSig   *occam.Signal
+	txEv    *occam.Event
 
 	shed  map[uint32]bool
 	fault atm.FaultHook
@@ -681,11 +681,12 @@ func (pt *Port) trainEnd(now occam.Time) occam.Time {
 // runTx is the port's one process: it delivers finished cell trains to
 // the attached host — the only fabric step that may block (host
 // backpressure) — and paces follow-on trains while backlog remains.
-// It sleeps on txSig whenever the port goes idle; egArrive slices the
+// It sleeps on txEv whenever the port goes idle; egArrive slices the
 // train that wakes it.
 func (pt *Port) runTx(p *occam.Proc) {
 	for {
-		pt.txSig.Wait(p)
+		pt.txEv.Wait(p)
+		pt.txEv.Clear()
 		for {
 			for i := range pt.batch {
 				m := pt.batch[i]

@@ -11,7 +11,7 @@ type altState struct {
 }
 
 // Guard is one alternative of a PRI ALT. Construct guards with Recv,
-// After, Timeout, Skip, When and NewCond.
+// After, Timeout, Skip, When and NewCond; an *Event is a guard too.
 type Guard interface {
 	// poll attempts to fire the guard immediately (mu held).
 	poll(p *Proc) bool

@@ -65,6 +65,7 @@ const (
 	stSleep
 	stAlt
 	stCPU
+	stWait
 )
 
 // Proc is an Occam process: a goroutine scheduled by the virtual-time
@@ -112,6 +113,8 @@ func (p *Proc) statusText() string {
 		return fmt.Sprintf("alt over %d guards", p.stN)
 	case stCPU:
 		return fmt.Sprintf("cpu %s for %v", p.stName, p.stDur)
+	case stWait:
+		return "wait " + p.stName
 	}
 	return "?"
 }

@@ -7,21 +7,22 @@ import "container/heap"
 // by dedicated processes of its own. A message pipeline built from
 // processes pays one park/wake cycle per rendezvous; built from a
 // Timer chain it pays one heap operation per paced step and nothing at
-// all for the zero-time bookkeeping in between. The fabric's crossbar
-// and the ATM link transmitters use these to keep their virtual-time
-// behaviour while shedding almost all of their scheduling cost.
+// all for the zero-time bookkeeping in between. The fabric's crossbar,
+// the ATM link transmitters and the decoupling buffers use these to
+// keep their virtual-time behaviour while shedding almost all of their
+// scheduling cost.
 //
 // Two execution contexts exist and must not be confused:
 //
 //   - process context: ordinary user code, running without the
-//     scheduler lock. It may call every blocking primitive, and arms
-//     Timers with Timer.Schedule and raises Signals with Signal.Raise.
+//     scheduler lock. It may call every blocking primitive, arms
+//     Timers with Timer.Schedule and sets Events with Event.Set.
 //   - scheduler context: a Timer callback, running *inside* the
 //     scheduler with the runtime lock held. It must not block and must
 //     not call anything that re-enters the runtime (Proc methods,
 //     channel operations, Runtime.Now). It receives a Sched capability
 //     and goes through that for everything: Sched.Now, Sched.Schedule,
-//     Sched.Raise.
+//     Sched.Set.
 //
 // Both contexts are serialised with all process code by the runtime
 // lock, so callback code may touch the same plain data structures
@@ -39,8 +40,8 @@ func (s Sched) Now() Time { return s.rt.now }
 // already armed.
 func (s Sched) Schedule(tm *Timer, t Time) { tm.scheduleLocked(t) }
 
-// Raise raises sig from scheduler context.
-func (s Sched) Raise(sig *Signal) { sig.raiseLocked() }
+// Set raises e from scheduler context.
+func (s Sched) Set(e *Event) { e.setLocked() }
 
 // Timer is a reusable scheduler-context callback: when armed, its
 // function runs at the scheduled virtual instant, interleaved with
@@ -95,54 +96,96 @@ func (tm *Timer) scheduleLocked(t Time) {
 	heap.Push(&rt.timers, &tm.ev)
 }
 
-// Signal is a single-waiter level-triggered wakeup: the bridge from
-// scheduler context back to a blocked process. Raise while a process
-// waits makes it runnable; Raise with no waiter is remembered, so the
-// next Wait returns immediately (raises do not accumulate past one).
-// Exactly one process may wait at a time.
-type Signal struct {
+// Event is a level-triggered wait condition: the bridge from passive
+// state back to a blocked process. It holds one boolean level, which
+// its owner raises (Set) and lowers (Clear) to mirror some condition of
+// its own state — "a delivery is pending", "the queue has room". A
+// process waits for the level either by blocking in Wait or by putting
+// the Event itself in an Alt as a guard, which is ready while the level
+// is high. Waiting never lowers the level: a waiter that finds it high
+// returns at once, and whoever ends the mirrored condition clears it.
+// At most one process may wait at a time, by either route.
+//
+// Set works from both contexts: Event.Set in process context, Sched.Set
+// in a Timer callback.
+type Event struct {
 	rt  *Runtime
 	nm  string
-	p   *Proc
 	set bool
+	p   *Proc     // process blocked in Wait
+	a   *altState // alternation holding the event as a guard
+	idx int       // that guard's index
 }
 
-// NewSignal returns a signal. The name shows up in deadlock dumps as
-// what the waiting process is blocked on.
-func NewSignal(rt *Runtime, name string) *Signal {
-	return &Signal{rt: rt, nm: name}
+// NewEvent returns an event with its level low. The name shows up in
+// deadlock dumps as what the waiting process is blocked on.
+func NewEvent(rt *Runtime, name string) *Event {
+	return &Event{rt: rt, nm: name}
 }
 
-// Wait blocks the process until the signal is raised, consuming the
-// raise. Returns immediately if a raise is already pending.
-func (s *Signal) Wait(p *Proc) {
-	rt := s.rt
+// Wait blocks the process until the level is high. Returns immediately
+// if it already is; the level is left as it is either way.
+func (e *Event) Wait(p *Proc) {
+	rt := e.rt
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if s.set {
-		s.set = false
+	if e.set {
 		return
 	}
-	if s.p != nil {
-		panic("occam: Signal already has a waiter: " + s.nm)
-	}
-	s.p = p
-	rt.park(p, stRecv, s.nm)
+	e.claim()
+	e.p = p
+	rt.park(p, stWait, e.nm)
 }
 
-// Raise wakes the waiting process, or latches if none is waiting. Call
-// from process context; callbacks use Sched.Raise.
-func (s *Signal) Raise() {
-	s.rt.mu.Lock()
-	s.raiseLocked()
-	s.rt.mu.Unlock()
+// Set raises the level, waking the waiter if there is one. Call from
+// process context; callbacks use Sched.Set.
+func (e *Event) Set() {
+	e.rt.mu.Lock()
+	e.setLocked()
+	e.rt.mu.Unlock()
 }
 
-func (s *Signal) raiseLocked() {
-	if p := s.p; p != nil {
-		s.p = nil
-		s.rt.ready(p)
+// Clear lowers the level. Call from process context.
+func (e *Event) Clear() {
+	e.rt.mu.Lock()
+	e.set = false
+	e.rt.mu.Unlock()
+}
+
+// IsSet reports the level. Call from process context, or on state the
+// caller already owns.
+func (e *Event) IsSet() bool { return e.set }
+
+func (e *Event) setLocked() {
+	if e.set {
 		return
 	}
-	s.set = true
+	e.set = true
+	if p := e.p; p != nil {
+		e.p = nil
+		e.rt.ready(p)
+		return
+	}
+	if a := e.a; a != nil && !a.fired {
+		a.fired = true
+		a.chosen = e.idx
+		e.rt.ready(a.p)
+	}
 }
+
+// claim enforces the single-waiter rule. Caller holds mu.
+func (e *Event) claim() {
+	if e.p != nil || e.a != nil {
+		panic("occam: Event already has a waiter: " + e.nm)
+	}
+}
+
+// An Event is an Alt guard, ready while its level is high.
+func (e *Event) poll(*Proc) bool { return e.set }
+
+func (e *Event) enable(a *altState, idx int) {
+	e.claim()
+	e.a, e.idx = a, idx
+}
+
+func (e *Event) disable() { e.a = nil }
