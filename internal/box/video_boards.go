@@ -73,6 +73,7 @@ func (b *Box) runCapture(p *occam.Proc) {
 	// rectangle, the line codec, the compressed-line list, and the
 	// packed segment data (copied on into the wire by Encode).
 	var (
+		img    video.Frame
 		rect   video.Frame
 		codec  video.Codec
 		lines  [][]byte
@@ -99,8 +100,8 @@ func (b *Box) runCapture(p *occam.Proc) {
 			}
 		}
 		// The camera updates the framestore.
-		img := b.camera.NextFrame()
-		b.framestore.WriteLines(img, 0, b.cfg.CameraH)
+		b.camera.NextFrameInto(&img)
+		b.framestore.WriteLines(&img, 0, b.cfg.CameraH)
 
 		for _, id := range orderedStreamIDs(streams) {
 			cs := streams[id]

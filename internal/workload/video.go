@@ -15,14 +15,17 @@ func NewCamera(w, h int) *Camera { return &Camera{w: w, h: h} }
 
 // NextFrame produces the next frame.
 func (c *Camera) NextFrame() *video.Frame {
-	f := c.FrameAt(c.frame)
-	c.frame++
+	f := new(video.Frame)
+	c.NextFrameInto(f)
 	return f
 }
 
-// FrameAt produces frame number n deterministically.
-func (c *Camera) FrameAt(n int) *video.Frame {
-	f := video.NewFrame(c.w, c.h)
+// NextFrameInto renders the next frame into f, reusing its pixel
+// storage; every pixel is overwritten.
+func (c *Camera) NextFrameInto(f *video.Frame) {
+	n := c.frame
+	c.frame++
+	f.Reuse(c.w, c.h)
 	for y := 0; y < c.h; y++ {
 		for x := 0; x < c.w; x++ {
 			f.Set(x, y, byte((x*2+y+n*3)&0xFF))
@@ -38,5 +41,4 @@ func (c *Camera) FrameAt(n int) *video.Frame {
 			f.Set(x, y, 250)
 		}
 	}
-	return f
 }

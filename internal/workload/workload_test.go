@@ -1,10 +1,12 @@
 package workload
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/mulaw"
 	"repro/internal/segment"
+	"repro/internal/video"
 )
 
 func TestRNGDeterministic(t *testing.T) {
@@ -185,6 +187,20 @@ func TestRampDeterministic(t *testing.T) {
 			if ba[j] != bb[j] {
 				t.Fatal("ramp not deterministic")
 			}
+		}
+	}
+}
+
+func TestCameraNextFrameIntoMatchesNextFrame(t *testing.T) {
+	// Rendering into one reused frame must give the same pixels as a
+	// fresh frame each time: every pixel is overwritten.
+	fresh, reused := NewCamera(32, 16), NewCamera(32, 16)
+	var f video.Frame
+	for n := 0; n < 40; n++ {
+		want := fresh.NextFrame()
+		reused.NextFrameInto(&f)
+		if f.W != want.W || f.H != want.H || !bytes.Equal(f.Pix, want.Pix) {
+			t.Fatalf("frame %d differs when rendered into a reused frame", n)
 		}
 	}
 }
