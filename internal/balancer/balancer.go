@@ -282,8 +282,8 @@ func (b *Balancer) tick() {
 // sampleNow reads one box's probes and counter deltas.
 func (bd *board) sampleNow() Sample {
 	var s Sample
-	s.Queue = ratio(bd.qd, bd.ql)
-	s.Ingress = ratio(bd.id, bd.il)
+	s.Queue = obs.Ratio(bd.qd, bd.ql)
+	s.Ingress = obs.Ratio(bd.id, bd.il)
 	s.Sheds = val(bd.boxActive) + val(bd.portActive)
 	if shed := val(bd.shed); shed > bd.prevShed {
 		s.Sheds++
@@ -309,27 +309,10 @@ func (bd *board) sampleNow() Sample {
 	return s
 }
 
-// ratio and val tolerate nil probes: boxes meshed over pairwise links
-// have no fabric port, so the port instruments simply read as idle.
-func ratio(q, lim *obs.Probe) float64 {
-	if q == nil || lim == nil {
-		return 0
-	}
-	qv, ok := q.Value()
-	if !ok {
-		return 0
-	}
-	lv, ok := lim.Value()
-	if !ok || lv <= 0 {
-		return 0
-	}
-	return qv / lv
-}
-
+// val reads a probe as 0 when it is nil or missing: boxes meshed over
+// pairwise links have no fabric port, so the port instruments (and
+// obs.Ratio over them) simply read as idle.
 func val(p *obs.Probe) float64 {
-	if p == nil {
-		return 0
-	}
 	v, _ := p.Value()
 	return v
 }

@@ -32,7 +32,6 @@ import (
 	"repro/internal/decouple"
 	"repro/internal/degrade"
 	"repro/internal/faultinject"
-	"repro/internal/metrics"
 	"repro/internal/mixer"
 	"repro/internal/muting"
 	"repro/internal/obs"
@@ -297,9 +296,8 @@ type Box struct {
 	displayStat DisplayStats
 
 	// Instruments.
-	playout     map[uint32]*metrics.Tracker
-	playoutHist *obs.Histogram
-	trace       *obs.Tracer
+	playout map[uint32]*obs.Histogram // audio_playout_latency_ms by stream
+	trace   *obs.Tracer
 }
 
 // SwitchStats counts the server switch's work.
@@ -335,7 +333,7 @@ type DisplayStats struct {
 	Segments   uint64
 	Frames     uint64
 	DecodeErrs uint64
-	FrameLat   *metrics.Tracker
+	FrameLat   *obs.Histogram // display_frame_latency_ms
 }
 
 // New builds a box, registers it as host cfg.Name on net, and starts
@@ -362,11 +360,10 @@ func New(rt *occam.Runtime, net *atm.Network, cfg Config) *Box {
 		camera:      workload.NewCamera(cfg.CameraW, cfg.CameraH),
 		framestore:  video.NewFramestore(cfg.CameraW, cfg.CameraH),
 		interp:      video.NewInterpolator(),
-		playout:     make(map[uint32]*metrics.Tracker),
+		playout:     make(map[uint32]*obs.Histogram),
 		wires:       segment.NewWirePool(),
 	}
 	b.swStats.PerStreamDrops = make(map[uint32]uint64)
-	b.displayStat.FrameLat = metrics.NewTracker(cfg.Name + ".frameLat")
 	b.Log = NewHostLog(rt, b.Reports)
 	b.pool = allocator.New(rt, b.serverNode, cfg.PoolBuffers, nil)
 	b.pool.Observe(cfg.Obs, cfg.Name)
@@ -418,7 +415,6 @@ func (b *Box) observe() {
 	reg.CounterFunc("audio_mic_blocks_total", func() uint64 { return b.audioStat.MicBlocks }, lb)
 	reg.CounterFunc("audio_mic_segments_total", func() uint64 { return b.audioStat.MicSegs }, lb)
 	reg.CounterFunc("audio_mic_drops_total", func() uint64 { return b.audioStat.MicDrops }, lb)
-	b.playoutHist = reg.Histogram("audio_playout_latency_ms", nil, lb)
 
 	reg.GaugeFunc("net_copies_max", func() float64 { return float64(b.copiesHi) }, lb)
 	reg.CounterFunc("switch_shed_drops_total", func() uint64 { return b.swStats.ShedDrops }, lb)
@@ -428,6 +424,7 @@ func (b *Box) observe() {
 	reg.CounterFunc("display_segments_total", func() uint64 { return b.displayStat.Segments }, lb)
 	reg.CounterFunc("display_frames_total", func() uint64 { return b.displayStat.Frames }, lb)
 	reg.CounterFunc("display_decode_errors_total", func() uint64 { return b.displayStat.DecodeErrs }, lb)
+	b.displayStat.FrameLat = reg.Histogram("display_frame_latency_ms", lb)
 
 	// Board-crash fault accounting, only when faults are configured so
 	// clean runs keep a clean namespace.
@@ -475,15 +472,16 @@ func (b *Box) AudioStats() AudioStats { return b.audioStat }
 // DisplayStats returns the display counters.
 func (b *Box) DisplayStats() DisplayStats { return b.displayStat }
 
-// PlayoutLatency returns the tracker of capture→playout latencies for
-// a stream arriving at this box's speaker.
-func (b *Box) PlayoutLatency(stream uint32) *metrics.Tracker {
-	t, ok := b.playout[stream]
+// PlayoutLatency returns the histogram of capture→playout latencies
+// for a stream arriving at this box's speaker, registered as
+// audio_playout_latency_ms{box,stream} on first use.
+func (b *Box) PlayoutLatency(stream uint32) *obs.Histogram {
+	h, ok := b.playout[stream]
 	if !ok {
-		t = metrics.NewTracker(fmt.Sprintf("%s.playout.%d", b.cfg.Name, stream))
-		b.playout[stream] = t
+		h = b.cfg.Obs.Histogram("audio_playout_latency_ms", obs.L("box", b.cfg.Name), obs.L("stream", fmt.Sprint(stream)))
+		b.playout[stream] = h
 	}
-	return t
+	return h
 }
 
 func (b *Box) recordPlayout(stream uint32, stamp, now int64) {
@@ -493,9 +491,7 @@ func (b *Box) recordPlayout(stream uint32, stamp, now int64) {
 	// The paper's one-way figure runs microphone input to speaker
 	// output: add the codec output fifo ("2ms in the buffering from
 	// the codec", §4.2) after the mixing pop.
-	lat := time.Duration(now-stamp) + segment.BlockDuration
-	b.PlayoutLatency(stream).Add(lat)
-	b.playoutHist.Observe(float64(lat) / float64(time.Millisecond))
+	b.PlayoutLatency(stream).Observe(time.Duration(now-stamp) + segment.BlockDuration)
 }
 
 // --- Control interface (host commands, §1.2) ---

@@ -245,6 +245,6 @@ func (b *Box) runDisplay(p *occam.Proc) {
 		p.SleepUntil(scan.SafeReadStart(p.Now(), top, copyTime))
 		p.SleepUntil(scan.SafeReadStart(p.Now(), bottom, copyTime))
 		b.displayStat.Frames++
-		b.displayStat.FrameLat.Add(p.Now().Sub(segment.TimestampTime(seg.Timestamp)))
+		b.displayStat.FrameLat.Observe(p.Now().Sub(segment.TimestampTime(seg.Timestamp)))
 	}
 }

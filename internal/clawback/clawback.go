@@ -28,6 +28,7 @@
 package clawback
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -391,8 +392,9 @@ func (b *Buffer) PopItem() (it Item, ok bool) {
 		return Item{}, false
 	}
 	it = b.queue[0]
-	b.queue[0] = Item{}
-	b.queue = b.queue[1:]
+	// Shift down rather than reslice the front away: a resliced queue
+	// loses that capacity, and pushes then keep reallocating it.
+	b.queue = slices.Delete(b.queue, 0, 1)
 	if b.cfg.Pool != nil {
 		b.cfg.Pool.give()
 	}

@@ -392,3 +392,24 @@ func TestQuickStatsConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSteadyPushPopAllocatesNothing: a stream at steady state (one
+// block in, one block out per tick) reuses the queue's storage. Popping
+// by reslicing the front away made every push past the lost capacity
+// reallocate the queue.
+func TestSteadyPushPopAllocatesNothing(t *testing.T) {
+	b := New(Config{})
+	blk := make([]byte, 16)
+	for i := 0; i < 4; i++ {
+		b.Push(blk)
+	}
+	// AllocsPerRun rounds down, so each run moves 100 blocks.
+	if n := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 100; i++ {
+			b.Push(blk)
+			b.Pop()
+		}
+	}); n != 0 {
+		t.Fatalf("100 steady push/pops allocate %v times", n)
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -23,8 +24,8 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	s.AddBox(box.Config{Name: "bob", Mic: workload.NewSpeech(2, 12000),
 		Features: box.Features{JitterCorrection: true}})
 	s.Connect("alice", "bob", fastLink())
-	var ab *Stream
-	s.Control(func(p *occam.Proc) { ab, _ = s.AudioCall(p, "alice", "bob") })
+	var ab, ba *Stream
+	s.Control(func(p *occam.Proc) { ab, ba = s.AudioCall(p, "alice", "bob") })
 	if err := s.RunFor(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -72,13 +73,20 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Errorf("bob's mixer stream counter: %+v (ok=%v)", sam, ok)
 	}
 
-	// The playout latency histogram observed both speakers.
-	for _, name := range []string{"alice", "bob"} {
-		sam, ok := snap.Get("audio_playout_latency_ms", obs.L("box", name))
+	// Each speaker's per-stream playout latency histogram observed
+	// its stream, and is the one the box's accessor returns.
+	for _, in := range []struct {
+		name string
+		st   *Stream
+	}{{"alice", ba}, {"bob", ab}} {
+		vci := in.st.VCIs[in.name]
+		sam, ok := snap.Get("audio_playout_latency_ms", obs.L("box", in.name), obs.L("stream", fmt.Sprint(vci)))
 		if !ok || sam.Count == 0 {
-			t.Errorf("%s: playout histogram empty", name)
+			t.Errorf("%s: playout histogram empty", in.name)
 		} else if mean := sam.Sum / float64(sam.Count); mean < 2 || mean > 50 {
-			t.Errorf("%s: playout mean %.2fms implausible", name, mean)
+			t.Errorf("%s: playout mean %.2fms implausible", in.name, mean)
+		} else if n := s.Box(in.name).PlayoutLatency(vci).Count(); n != sam.Count {
+			t.Errorf("%s: PlayoutLatency counts %d, registry %d", in.name, n, sam.Count)
 		}
 	}
 

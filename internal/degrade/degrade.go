@@ -168,26 +168,13 @@ type Controller struct {
 	// Pre-keyed pressure probes, one queue/limit pair per watched
 	// buffer, link and port (the name lists are fixed per target, so
 	// the instrument keys are built once, not every tick).
-	videoProbes []ratioProbe
-	audioProbes []ratioProbe
+	videoProbes []queueProbe
+	audioProbes []queueProbe
 }
 
-// ratioProbe reads one queue/limit gauge pair as an occupancy ratio.
-type ratioProbe struct {
-	q, lim *obs.Probe
-}
-
-func (pr ratioProbe) ratio() float64 {
-	q, ok := pr.q.Value()
-	if !ok {
-		return 0
-	}
-	lim, ok := pr.lim.Value()
-	if !ok || lim <= 0 {
-		return 0
-	}
-	return q / lim
-}
+// queueProbe is one watched queue's depth and limit, read through
+// obs.Ratio.
+type queueProbe struct{ depth, limit *obs.Probe }
 
 // New starts a controller for target on rt. reg must be the registry
 // the target's buffers and links report into — it is both the
@@ -209,33 +196,20 @@ func New(rt *occam.Runtime, target Target, cfg Config, reg *obs.Registry) *Contr
 		pAudio:    reg.Gauge("degrade_pressure_audio", lb),
 	}
 	reg.GaugeFunc("degrade_active_sheds", func() float64 { return float64(len(c.shed)) }, lb)
+	watch := func(depth, limit string, l obs.Label) queueProbe {
+		return queueProbe{reg.Probe(depth, l), reg.Probe(limit, l)}
+	}
 	for _, name := range target.DegradeVideoBuffers() {
-		blb := obs.L("buffer", name)
-		c.videoProbes = append(c.videoProbes, ratioProbe{
-			q:   reg.Probe("decouple_queued", blb),
-			lim: reg.Probe("decouple_limit", blb),
-		})
+		c.videoProbes = append(c.videoProbes, watch("decouple_queued", "decouple_limit", obs.L("buffer", name)))
 	}
 	for _, link := range cfg.Links {
-		llb := obs.L("link", link)
-		c.videoProbes = append(c.videoProbes, ratioProbe{
-			q:   reg.Probe("atm_link_queue_depth", llb),
-			lim: reg.Probe("atm_link_queue_limit", llb),
-		})
+		c.videoProbes = append(c.videoProbes, watch("atm_link_queue_depth", "atm_link_queue_limit", obs.L("link", link)))
 	}
 	for _, port := range cfg.Ports {
-		plb := obs.L("port", port)
-		c.videoProbes = append(c.videoProbes, ratioProbe{
-			q:   reg.Probe("fabric_port_queue_depth", plb),
-			lim: reg.Probe("fabric_port_queue_limit", plb),
-		})
+		c.videoProbes = append(c.videoProbes, watch("fabric_port_queue_depth", "fabric_port_queue_limit", obs.L("port", port)))
 	}
 	for _, name := range target.DegradeAudioBuffers() {
-		blb := obs.L("buffer", name)
-		c.audioProbes = append(c.audioProbes, ratioProbe{
-			q:   reg.Probe("decouple_queued", blb),
-			lim: reg.Probe("decouple_limit", blb),
-		})
+		c.audioProbes = append(c.audioProbes, watch("decouple_queued", "decouple_limit", obs.L("buffer", name)))
 	}
 	rt.Go(target.DegradeName()+".degrade", nil, occam.High, c.run)
 	return c
@@ -275,10 +249,10 @@ func (c *Controller) run(p *occam.Proc) {
 // queues count toward video, the class whose shedding relieves them.
 func (c *Controller) pressure() (video, audio float64) {
 	for _, pr := range c.videoProbes {
-		video = maxf(video, pr.ratio())
+		video = maxf(video, obs.Ratio(pr.depth, pr.limit))
 	}
 	for _, pr := range c.audioProbes {
-		audio = maxf(audio, pr.ratio())
+		audio = maxf(audio, obs.Ratio(pr.depth, pr.limit))
 	}
 	return video, audio
 }

@@ -19,7 +19,7 @@ package mixer
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/clawback"
 	"repro/internal/mulaw"
@@ -392,7 +392,7 @@ func (m *Mixer) orderedIDs() []uint32 {
 	for id := range m.streams {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	m.ids = ids
 	return ids
 }

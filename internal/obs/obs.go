@@ -29,8 +29,11 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/occam"
 )
@@ -107,52 +110,112 @@ func (g *Gauge) Add(d float64) { g.v += d }
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return g.v }
 
-// DefaultLatencyBucketsMs are histogram bounds suited to the paper's
-// millisecond-scale latencies (the headline mic→speaker figure is 8 ms).
+// DefaultLatencyBucketsMs are the bucket bounds every histogram
+// exports, suited to the paper's millisecond-scale latencies (the
+// headline mic→speaker figure is 8 ms). Bounds are upper-inclusive;
+// one implicit overflow bucket catches the rest.
 var DefaultLatencyBucketsMs = []float64{2, 4, 6, 8, 10, 15, 20, 30, 50, 100, 200, 500}
 
-// Histogram accumulates observations into fixed buckets. Bounds are
-// upper-inclusive; one implicit overflow bucket catches the rest.
+// Histogram records durations exactly: one (value, count) pair per
+// distinct value, kept sorted, and an integer-nanosecond sum.
+// Virtual-time latencies take few distinct values, so its storage
+// grows with those, never with the number of observations. The
+// exported bucket counts and millisecond sum are derived only when a
+// Snapshot is built.
 type Histogram struct {
-	bounds []float64
-	counts []uint64 // len(bounds)+1; last is overflow
-	sum    float64
-	n      uint64
+	bins []bin // ascending by value
+	sum  time.Duration
+	n    uint64
 }
 
-// NewHistogram returns an unregistered histogram with the given bucket
-// upper bounds (nil selects DefaultLatencyBucketsMs). Bounds must be
-// sorted ascending.
-func NewHistogram(bounds []float64) *Histogram {
-	if bounds == nil {
-		bounds = DefaultLatencyBucketsMs
-	}
-	return &Histogram{
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]uint64, len(bounds)+1),
-	}
+// bin is one distinct observed value and how often it was seen.
+type bin struct {
+	v time.Duration
+	n uint64
 }
 
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i]++
-	h.sum += v
+// NewHistogram returns an unregistered histogram.
+func NewHistogram() *Histogram { return &Histogram{} }
+
+// Observe records one sample. A value already seen costs a binary
+// search and no allocation. The search is written out because
+// slices.BinarySearchFunc's comparison callback more than doubled the
+// cost of this per-playout call.
+func (h *Histogram) Observe(d time.Duration) {
+	i, j := 0, len(h.bins)
+	for i < j {
+		m := int(uint(i+j) >> 1)
+		if h.bins[m].v < d {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
+	if i == len(h.bins) || h.bins[i].v != d {
+		h.bins = slices.Insert(h.bins, i, bin{v: d})
+	}
+	h.bins[i].n++
+	h.sum += d
 	h.n++
 }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.n }
 
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() float64 { return h.sum }
+// Distinct returns the number of distinct values stored.
+func (h *Histogram) Distinct() int { return len(h.bins) }
 
-// Mean returns the average observation (0 if empty).
-func (h *Histogram) Mean() float64 {
+// Min returns the smallest observation (0 if empty).
+func (h *Histogram) Min() time.Duration {
 	if h.n == 0 {
 		return 0
 	}
-	return h.sum / float64(h.n)
+	return h.bins[0].v
+}
+
+// Max returns the largest observation (0 if empty).
+func (h *Histogram) Max() time.Duration {
+	if h.n == 0 {
+		return 0
+	}
+	return h.bins[len(h.bins)-1].v
+}
+
+// Mean returns the integer-nanosecond average observation (0 if
+// empty).
+func (h *Histogram) Mean() time.Duration {
+	if h.n == 0 {
+		return 0
+	}
+	return h.sum / time.Duration(h.n)
+}
+
+// Percentile returns the p'th percentile (0 ≤ p ≤ 100) by the
+// nearest-rank method: the observation at sorted index
+// int(p/100*(n-1)).
+func (h *Histogram) Percentile(p float64) time.Duration {
+	if h.n == 0 {
+		return 0
+	}
+	rank := uint64(max(0, min(int(p/100*float64(h.n-1)), int(h.n)-1)))
+	var cum uint64
+	for _, b := range h.bins {
+		cum += b.n
+		if cum > rank {
+			return b.v
+		}
+	}
+	return h.Max()
+}
+
+// buckets derives the exported DefaultLatencyBucketsMs counts (the
+// last element is overflow) and the millisecond sum.
+func (h *Histogram) buckets() ([]uint64, float64) {
+	counts := make([]uint64, len(DefaultLatencyBucketsMs)+1)
+	for _, b := range h.bins {
+		counts[sort.SearchFloat64s(DefaultLatencyBucketsMs, float64(b.v)/float64(time.Millisecond))] += b.n
+	}
+	return counts, float64(h.sum) / float64(time.Millisecond)
 }
 
 // entry is one registered instrument.
@@ -160,6 +223,7 @@ type entry struct {
 	name   string
 	labels []Label
 	kind   Kind
+	id     string // key(name, labels)
 
 	counter   *Counter
 	counterFn func() uint64
@@ -174,7 +238,8 @@ type entry struct {
 // need to branch on "is observability enabled".
 type Registry struct {
 	clock   Clock
-	entries []*entry
+	entries []*entry // in ID order whenever sorted is set
+	sorted  bool
 	byKey   map[string]*entry
 	tracer  *Tracer
 }
@@ -219,19 +284,15 @@ func (r *Registry) Tracer() *Tracer {
 	return r.tracer
 }
 
+// key renders an instrument's identity as Sample.ID does, e.g.
+// `x_total{link="a-b.0"}`: the registry's lookup key, and the order in
+// which snapshots list samples.
 func key(name string, labels []Label) string {
 	if len(labels) == 0 {
 		return name
 	}
-	var b strings.Builder
-	b.WriteString(name)
-	for _, l := range labels {
-		b.WriteByte('|')
-		b.WriteString(l.Key)
-		b.WriteByte('=')
-		b.WriteString(l.Value)
-	}
-	return b.String()
+	var buf [128]byte
+	return string(appendLabels(append(buf[:0], name...), labels))
 }
 
 // register adds e unless the key already exists, in which case the
@@ -245,8 +306,10 @@ func (r *Registry) register(e *entry) *entry {
 		}
 		return prev
 	}
+	e.id = k
 	r.byKey[k] = e
 	r.entries = append(r.entries, e)
+	r.sorted = false
 	return e
 }
 
@@ -307,14 +370,13 @@ func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...Label) {
 }
 
 // Histogram returns the histogram registered under name+labels,
-// creating it with the given bounds if needed (nil bounds select
-// DefaultLatencyBucketsMs). On a nil registry it returns a fresh
+// creating it if needed. On a nil registry it returns a fresh
 // unregistered histogram.
-func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Histogram {
+func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
 	if r == nil {
-		return NewHistogram(bounds)
+		return NewHistogram()
 	}
-	e := r.register(&entry{name: name, labels: labels, kind: KindHistogram, hist: NewHistogram(bounds)})
+	e := r.register(&entry{name: name, labels: labels, kind: KindHistogram, hist: NewHistogram()})
 	return e.hist
 }
 
@@ -371,8 +433,12 @@ func (r *Registry) Probe(name string, labels ...Label) *Probe {
 	return &Probe{r: r, k: key(name, labels)}
 }
 
-// Value reads the probed instrument, resolving it if needed.
+// Value reads the probed instrument, resolving it if needed. A nil
+// probe reads false.
 func (p *Probe) Value() (float64, bool) {
+	if p == nil {
+		return 0, false
+	}
 	if p.e == nil {
 		if p.r == nil {
 			return 0, false
@@ -384,6 +450,18 @@ func (p *Probe) Value() (float64, bool) {
 		p.e = e
 	}
 	return p.e.sampleValue()
+}
+
+// Ratio reads a queue's occupancy from its depth and limit probes —
+// the one sensing primitive the degrade and balancer control loops
+// share. A nil or missing probe reads as 0, and a limit ≤ 0 gives 0.
+func Ratio(depth, limit *Probe) float64 {
+	q, _ := depth.Value()
+	lim, _ := limit.Value()
+	if lim <= 0 {
+		return 0
+	}
+	return q / lim
 }
 
 // Sample is one instrument's state at snapshot time.
@@ -404,19 +482,28 @@ type Sample struct {
 }
 
 // labelString renders {k="v",...} or "" without labels.
-func labelString(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	parts := make([]string, len(labels))
+func labelString(labels []Label) string { return string(appendLabels(nil, labels)) }
+
+// appendLabels appends labelString(labels) to b, quoting values as
+// %q does.
+func appendLabels(b []byte, labels []Label) []byte {
 	for i, l := range labels {
-		parts[i] = fmt.Sprintf("%s=%q", l.Key, l.Value)
+		if i == 0 {
+			b = append(b, '{')
+		} else {
+			b = append(b, ',')
+		}
+		b = append(append(b, l.Key...), '=')
+		b = strconv.AppendQuote(b, l.Value)
 	}
-	return "{" + strings.Join(parts, ",") + "}"
+	if len(labels) > 0 {
+		b = append(b, '}')
+	}
+	return b
 }
 
 // ID renders the sample's full identity, e.g. `x_total{link="a-b.0"}`.
-func (s Sample) ID() string { return s.Name + labelString(s.Labels) }
+func (s Sample) ID() string { return key(s.Name, s.Labels) }
 
 // Snapshot is the state of every registered instrument at one instant
 // of virtual time.
@@ -432,6 +519,12 @@ type Snapshot struct {
 func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
+	}
+	// Entries stay in ID order between registrations, so a snapshot
+	// sorts only after new registrations and never renders an ID.
+	if !r.sorted {
+		sort.Slice(r.entries, func(i, j int) bool { return r.entries[i].id < r.entries[j].id })
+		r.sorted = true
 	}
 	s := Snapshot{At: r.Now(), Samples: make([]Sample, 0, len(r.entries))}
 	for _, e := range r.entries {
@@ -451,13 +544,11 @@ func (r *Registry) Snapshot() Snapshot {
 			}
 		case KindHistogram:
 			sm.Count = e.hist.n
-			sm.Sum = e.hist.sum
-			sm.Bounds = e.hist.bounds
-			sm.Buckets = append([]uint64(nil), e.hist.counts...)
+			sm.Buckets, sm.Sum = e.hist.buckets()
+			sm.Bounds = DefaultLatencyBucketsMs
 		}
 		s.Samples = append(s.Samples, sm)
 	}
-	sort.Slice(s.Samples, func(i, j int) bool { return s.Samples[i].ID() < s.Samples[j].ID() })
 	return s
 }
 

@@ -10,8 +10,8 @@ type altState struct {
 	chosen int
 }
 
-// Guard is one alternative of a PRI ALT. Construct guards with Recv,
-// After, Timeout, Skip, When and NewCond; an *Event is a guard too.
+// Guard is one alternative of a PRI ALT. Construct guards with Recv
+// and Skip; an *Event is a guard too.
 type Guard interface {
 	// poll attempts to fire the guard immediately (mu held).
 	poll(p *Proc) bool
@@ -30,9 +30,7 @@ type Guard interface {
 // one fires.
 //
 // Guards are reusable: a hot loop may build its guard slice once and
-// pass the same slice (and guard values) to every Alt. Conditional
-// guards that change per iteration should use NewCond and Set rather
-// than reconstructing When wrappers.
+// pass the same slice (and guard values) to every Alt.
 func (p *Proc) Alt(guards ...Guard) int {
 	if len(guards) == 0 {
 		panic("occam: Alt with no guards")
@@ -98,69 +96,6 @@ func (g *recvGuard[T]) disable() {
 	}
 }
 
-// timeGuard fires at an absolute virtual time (Occam "tim ? AFTER t").
-type timeGuard struct {
-	at Time
-	ev *timerEv
-}
-
-// After returns a guard that fires once the virtual clock reaches t.
-func After(at Time) Guard { return &timeGuard{at: at} }
-
-func (g *timeGuard) poll(p *Proc) bool { return p.rt.now >= g.at }
-
-func (g *timeGuard) enable(a *altState, idx int) {
-	rt := a.p.rt
-	g.ev = rt.addTimer(g.at, nil, func() {
-		if !a.fired {
-			a.fired = true
-			a.chosen = idx
-			rt.ready(a.p)
-		}
-	})
-	// The guard keeps the event pointer past the fire, so the
-	// runtime must not recycle it.
-	g.ev.pinned = true
-}
-
-func (g *timeGuard) disable() {
-	if g.ev != nil {
-		g.ev.cancelled = true
-		g.ev = nil
-	}
-}
-
-// timeoutGuard fires a duration after the Alt begins.
-type timeoutGuard struct {
-	d  Time
-	ev *timerEv
-}
-
-// Timeout returns a guard that fires d after the alternation starts
-// waiting.
-func Timeout(d Time) Guard { return &timeoutGuard{d: d} }
-
-func (g *timeoutGuard) poll(p *Proc) bool { return g.d <= 0 }
-
-func (g *timeoutGuard) enable(a *altState, idx int) {
-	rt := a.p.rt
-	g.ev = rt.addTimer(rt.now+g.d, nil, func() {
-		if !a.fired {
-			a.fired = true
-			a.chosen = idx
-			rt.ready(a.p)
-		}
-	})
-	g.ev.pinned = true
-}
-
-func (g *timeoutGuard) disable() {
-	if g.ev != nil {
-		g.ev.cancelled = true
-		g.ev = nil
-	}
-}
-
 // skipGuard always fires (Occam SKIP): as the last guard it makes the
 // alternation non-blocking.
 type skipGuard struct{}
@@ -177,61 +112,3 @@ func (skipGuard) enable(a *altState, i int) {
 	panic("occam: Skip guard enabled; place Skip last")
 }
 func (skipGuard) disable() {}
-
-// whenGuard conditions another guard (Occam boolean guard).
-type whenGuard struct {
-	cond bool
-	g    Guard
-}
-
-// When returns g if cond is true, otherwise an inert guard that never
-// fires (the Occam "cond & guard" form). The condition is fixed at
-// construction; loops whose condition changes per iteration should
-// hoist a NewCond guard instead.
-func When(cond bool, g Guard) Guard { return &whenGuard{cond: cond, g: g} }
-
-func (w *whenGuard) poll(p *Proc) bool {
-	return w.cond && w.g.poll(p)
-}
-
-func (w *whenGuard) enable(a *altState, idx int) {
-	if w.cond {
-		w.g.enable(a, idx)
-	}
-}
-
-func (w *whenGuard) disable() {
-	if w.cond {
-		w.g.disable()
-	}
-}
-
-// Cond is a conditional guard whose condition can be updated between
-// Alt calls — the reusable form of When for hot loops that hoist their
-// guard slice out of the loop and flip conditions each iteration.
-type Cond struct {
-	cond bool
-	g    Guard
-}
-
-// NewCond returns a conditional wrapper around g, initially false.
-func NewCond(g Guard) *Cond { return &Cond{g: g} }
-
-// Set updates the condition checked by the next Alt.
-func (c *Cond) Set(cond bool) { c.cond = cond }
-
-func (c *Cond) poll(p *Proc) bool {
-	return c.cond && c.g.poll(p)
-}
-
-func (c *Cond) enable(a *altState, idx int) {
-	if c.cond {
-		c.g.enable(a, idx)
-	}
-}
-
-func (c *Cond) disable() {
-	if c.cond {
-		c.g.disable()
-	}
-}

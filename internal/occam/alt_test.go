@@ -69,59 +69,6 @@ func TestAltBlocksUntilGuardFires(t *testing.T) {
 	}
 }
 
-func TestAltTimeout(t *testing.T) {
-	rt := NewRuntime()
-	ch := NewChan[int](rt, "quiet")
-	var idx int
-	var at Time
-	rt.Go("alter", nil, Low, func(p *Proc) {
-		var v int
-		idx = p.Alt(Recv(ch, &v), Timeout(Time(2*time.Millisecond)))
-		at = p.Now()
-	})
-	if err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if idx != 1 || at != Time(2*time.Millisecond) {
-		t.Fatalf("idx=%d at=%v, want timeout at 2ms", idx, at)
-	}
-}
-
-func TestAltAfterAbsolute(t *testing.T) {
-	rt := NewRuntime()
-	ch := NewChan[int](rt, "quiet")
-	var at Time
-	rt.Go("alter", nil, Low, func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		var v int
-		p.Alt(Recv(ch, &v), After(Time(5*time.Millisecond)))
-		at = p.Now()
-	})
-	if err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if at != Time(5*time.Millisecond) {
-		t.Fatalf("After guard fired at %v, want 5ms", at)
-	}
-}
-
-func TestAltAfterAlreadyPast(t *testing.T) {
-	rt := NewRuntime()
-	ch := NewChan[int](rt, "quiet")
-	var idx int
-	rt.Go("alter", nil, Low, func(p *Proc) {
-		p.Sleep(3 * time.Millisecond)
-		var v int
-		idx = p.Alt(Recv(ch, &v), After(Time(time.Millisecond)))
-	})
-	if err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if idx != 1 {
-		t.Fatalf("idx=%d, want past After guard ready immediately", idx)
-	}
-}
-
 func TestAltSkipMakesNonBlocking(t *testing.T) {
 	rt := NewRuntime()
 	ch := NewChan[int](rt, "quiet")
@@ -157,68 +104,6 @@ func TestAltSkipPrefersReadyChannel(t *testing.T) {
 	}
 	if idx != 0 || got != 5 {
 		t.Fatalf("idx=%d got=%d, want channel guard", idx, got)
-	}
-}
-
-func TestWhenFalseDisablesGuard(t *testing.T) {
-	rt := NewRuntime()
-	ch := NewChan[int](rt, "c")
-	var idx int
-	rt.Go("sender", nil, Low, func(p *Proc) { ch.Send(p, 1) })
-	rt.Go("alter", nil, Low, func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		var v int
-		idx = p.Alt(When(false, Recv(ch, &v)), Timeout(Time(time.Millisecond)))
-	})
-	if err := rt.RunUntil(Time(10 * time.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-	if idx != 1 {
-		t.Fatalf("idx=%d, want disabled guard skipped", idx)
-	}
-	rt.Shutdown()
-}
-
-func TestWhenTrueEnablesGuard(t *testing.T) {
-	rt := NewRuntime()
-	ch := NewChan[int](rt, "c")
-	var idx, got int
-	rt.Go("sender", nil, Low, func(p *Proc) { ch.Send(p, 11) })
-	rt.Go("alter", nil, Low, func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		var v int
-		idx = p.Alt(When(true, Recv(ch, &v)), Timeout(Time(time.Millisecond)))
-		got = v
-	})
-	if err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if idx != 0 || got != 11 {
-		t.Fatalf("idx=%d got=%d", idx, got)
-	}
-}
-
-func TestAltCancelsLosingTimer(t *testing.T) {
-	// After an alt resolves via a channel, its timeout must not fire
-	// later and corrupt anything.
-	rt := NewRuntime()
-	ch := NewChan[int](rt, "c")
-	count := 0
-	rt.Go("sender", nil, Low, func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		ch.Send(p, 1)
-	})
-	rt.Go("alter", nil, Low, func(p *Proc) {
-		var v int
-		p.Alt(Recv(ch, &v), Timeout(Time(5*time.Millisecond)))
-		count++
-		p.Sleep(20 * time.Millisecond) // outlive the cancelled timer
-	})
-	if err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if count != 1 {
-		t.Fatalf("alt body ran %d times", count)
 	}
 }
 

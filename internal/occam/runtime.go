@@ -144,7 +144,7 @@ type timerEv struct {
 	p         *Proc
 	fn        func()
 	grant     *Node // non-nil: a CPU grant for p completes on this node
-	pinned    bool  // an Alt guard holds a pointer; never recycle
+	pinned    bool  // embedded in a Timer; never recycle
 	cancelled bool
 	index     int
 }
@@ -430,8 +430,8 @@ func (rt *Runtime) addTimer(at Time, p *Proc, fn func()) *timerEv {
 	return ev
 }
 
-// freeTimerEv recycles a popped event unless an Alt guard may still
-// hold a pointer to it (pinned). Caller holds mu.
+// freeTimerEv recycles a popped event unless a Timer owns it
+// (pinned). Caller holds mu.
 func (rt *Runtime) freeTimerEv(ev *timerEv) {
 	if ev.pinned {
 		return

@@ -9,7 +9,7 @@
 //
 //   - rendezvous channels (Chan) with blocking Send/Recv,
 //   - prioritised alternation (Proc.Alt, the PRI ALT construct),
-//   - microsecond-resolution timers (Proc.Sleep, After/Timeout guards),
+//   - microsecond-resolution timers (Proc.Sleep, Timer),
 //   - two process priorities (High preempts Low in the run queue),
 //   - per-transputer CPU accounting (Node, Proc.Consume),
 //   - inter-transputer links with transmission delay (Link).

@@ -7,8 +7,10 @@
 // reference. Packages that sit above the wire layer and drive route
 // changes (listed in ownershipRequired) must additionally spell out
 // their ownership rules in the package comment, so a reader never has
-// to reverse-engineer who releases what. Run from the repository
-// root:
+// to reverse-engineer who releases what. It also fails if a package
+// under internal/ is imported by no non-test file outside itself: a
+// package that nothing reaches is dead code, however well documented.
+// Run from the repository root:
 //
 //	go run scripts/doc_guard.go
 package main
@@ -63,10 +65,67 @@ func main() {
 			fmt.Fprintf(os.Stderr, "  %s\n", dir)
 		}
 	}
-	if len(bad) > 0 || len(badOwn) > 0 {
+	unreached, err := unreachedPackages()
+	if err != nil {
+		fatal("scanning imports: %v", err)
+	}
+	if len(unreached) > 0 {
+		fmt.Fprintf(os.Stderr, "doc_guard: %d internal package(s) imported by no non-test file outside themselves:\n", len(unreached))
+		for _, dir := range unreached {
+			fmt.Fprintf(os.Stderr, "  %s\n", dir)
+		}
+	}
+	if len(bad) > 0 || len(badOwn) > 0 || len(unreached) > 0 {
 		os.Exit(1)
 	}
-	fmt.Println("doc_guard: every package has a package doc comment (and ownership rules where required)")
+	fmt.Println("doc_guard: every package has a package doc comment (and ownership rules where required), and every internal package is imported")
+}
+
+// unreachedPackages returns the internal/ package directories that no
+// non-test .go file in another directory of the repository imports
+// (the module path is "repro", so internal/x is "repro/internal/x").
+func unreachedPackages() ([]string, error) {
+	imported := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		from := "repro/" + filepath.ToSlash(filepath.Dir(path))
+		for _, imp := range f.Imports {
+			if p := strings.Trim(imp.Path.Value, `"`); p != from {
+				imported[p] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	dirs, err := packageDirs("internal")
+	if err != nil {
+		return nil, err
+	}
+	var out []string
+	for _, dir := range dirs {
+		if !imported["repro/"+filepath.ToSlash(dir)] {
+			out = append(out, dir)
+		}
+	}
+	return out, nil
 }
 
 // packageDirs returns every directory under root that contains at
