@@ -5,13 +5,14 @@
 // and pass buffer *indices* through the rest of the system — data is
 // copied "once into memory, and once out for each output device".
 //
-// The allocator is an Occam process. Its defining behaviour, straight
-// from the paper: "If there are no buffers available, then the
-// allocator will not listen for any requests, and the requesting
-// processes will be descheduled by the usual channel synchronisation
-// mechanism until the allocator is ready to receive again. The
-// allocator reports this (serious) fault on its report channel so
-// that it can be logged."
+// The allocator's defining behaviour, straight from the paper: "If
+// there are no buffers available, then the allocator will not listen
+// for any requests, and the requesting processes will be descheduled
+// by the usual channel synchronisation mechanism until the allocator
+// is ready to receive again. The allocator reports this (serious)
+// fault on its report channel so that it can be logged." Here the
+// allocator is passive (see Pool) and the fault is logged as the
+// allocator_starvations_total counter and an EvOverload trace event.
 //
 // Reference-count protocol (§3.4): a process must inform the
 // allocator when it finishes with a buffer without passing it on
@@ -61,26 +62,6 @@ func (b *Buffer) SetPayload(src []byte) {
 	b.Payload = segment.WireOver(b.storage)
 }
 
-// Report is an allocator fault or status report.
-type Report struct {
-	Starved bool // a request arrived while no buffers were free
-	Free    int
-	Total   int
-}
-
-func (r Report) String() string {
-	if r.Starved {
-		return fmt.Sprintf("allocator: STARVED (%d/%d free)", r.Free, r.Total)
-	}
-	return fmt.Sprintf("allocator: %d/%d free", r.Free, r.Total)
-}
-
-// refChange adjusts a buffer's reference count by Delta.
-type refChange struct {
-	Index int
-	Delta int
-}
-
 // waiter is one process blocked in Get while the pool is dry: the
 // event it sleeps on, and the slot the granting Release fills before
 // raising it. Waiter records are recycled through a free list.
@@ -99,15 +80,12 @@ type waiter struct {
 // are no buffers available ... the requesting processes will be
 // descheduled" — by parking requesters on signals in FIFO order; the
 // Release that frees a buffer grants it to the longest-waiting
-// requester and wakes it. Only the report protocol (command/report
-// channels, like all other Pandora processes) keeps a process.
+// requester and wakes it. The pool owns no process.
 type Pool struct {
-	rt      *occam.Runtime
-	bufs    []*Buffer
-	refs    []int
-	free    []int
-	cmd     *occam.Chan[struct{}] // report request
-	reports *occam.Chan[Report]
+	rt   *occam.Runtime
+	bufs []*Buffer
+	refs []int
+	free []int
 
 	// waiters are processes descheduled in Get, FIFO. waiterFree
 	// recycles waiter records (and their signals).
@@ -121,25 +99,21 @@ type Pool struct {
 	source      string
 }
 
-// New creates a pool of n buffers and starts the report process on
-// node. reports may be nil.
-func New(rt *occam.Runtime, node *occam.Node, n int, reports *occam.Chan[Report]) *Pool {
+// New creates a pool of n buffers on rt.
+func New(rt *occam.Runtime, n int) *Pool {
 	if n <= 0 {
 		panic("allocator: pool size must be positive")
 	}
 	pl := &Pool{
-		rt:      rt,
-		bufs:    make([]*Buffer, n),
-		refs:    make([]int, n),
-		free:    make([]int, 0, n),
-		cmd:     occam.NewChan[struct{}](rt, "alloc.cmd"),
-		reports: reports,
+		rt:   rt,
+		bufs: make([]*Buffer, n),
+		refs: make([]int, n),
+		free: make([]int, 0, n),
 	}
 	for i := n - 1; i >= 0; i-- {
 		pl.bufs[i] = &Buffer{Index: i}
 		pl.free = append(pl.free, i)
 	}
-	rt.Go("allocator", node, occam.High, pl.run)
 	return pl
 }
 
@@ -155,22 +129,10 @@ func (pl *Pool) Observe(reg *obs.Registry, owner string) {
 	pl.source = owner + ".allocator"
 }
 
-// run is the report process: the allocator's command/report channel
-// attachment, kept as a process so a report request never blocks the
-// requester on the report collector.
-func (pl *Pool) run(p *occam.Proc) {
-	for {
-		pl.cmd.Recv(p)
-		if pl.reports != nil {
-			pl.reports.Send(p, Report{Free: len(pl.free), Total: len(pl.bufs)})
-		}
-	}
-}
-
 // grant pops a free buffer for the requester (bookkeeping only — the
 // caller hands it over) and logs the starvation fault when the pool
 // runs dry, exactly as the paper requires.
-func (pl *Pool) grant(p *occam.Proc) *Buffer {
+func (pl *Pool) grant() *Buffer {
 	idx := pl.free[len(pl.free)-1]
 	pl.free = pl.free[:len(pl.free)-1]
 	pl.refs[idx] = 1
@@ -183,23 +145,22 @@ func (pl *Pool) grant(p *occam.Proc) *Buffer {
 		pl.wasStarved = true
 		pl.starvations++
 		pl.trace.Emit(obs.EvOverload, pl.source, 0, "buffer pool exhausted")
-		if pl.reports != nil {
-			pl.reports.TrySend(p, Report{Starved: true, Free: 0, Total: len(pl.bufs)})
-		}
 	}
 	return buf
 }
 
-func (pl *Pool) applyRefChange(ch refChange) {
-	if ch.Index < 0 || ch.Index >= len(pl.refs) {
-		panic(fmt.Sprintf("allocator: ref change for bad index %d", ch.Index))
+// applyRefChange adjusts buffer idx's reference count by delta,
+// freeing it at zero.
+func (pl *Pool) applyRefChange(idx, delta int) {
+	if idx < 0 || idx >= len(pl.refs) {
+		panic(fmt.Sprintf("allocator: ref change for bad index %d", idx))
 	}
-	pl.refs[ch.Index] += ch.Delta
+	pl.refs[idx] += delta
 	switch {
-	case pl.refs[ch.Index] < 0:
-		panic(fmt.Sprintf("allocator: buffer %d reference count went negative", ch.Index))
-	case pl.refs[ch.Index] == 0:
-		pl.free = append(pl.free, ch.Index)
+	case pl.refs[idx] < 0:
+		panic(fmt.Sprintf("allocator: buffer %d reference count went negative", idx))
+	case pl.refs[idx] == 0:
+		pl.free = append(pl.free, idx)
 	}
 }
 
@@ -209,7 +170,7 @@ func (pl *Pool) applyRefChange(ch refChange) {
 // oldest first.
 func (pl *Pool) Get(p *occam.Proc) *Buffer {
 	if len(pl.free) > 0 && len(pl.waiters) == 0 {
-		return pl.grant(p)
+		return pl.grant()
 	}
 	var w *waiter
 	if n := len(pl.waiterFree); n > 0 {
@@ -231,12 +192,12 @@ func (pl *Pool) Get(p *occam.Proc) *Buffer {
 // requester. The grant bookkeeping runs here, in the releasing
 // process, so the freed buffer cannot be stolen before the woken
 // requester runs.
-func (pl *Pool) wakeWaiter(p *occam.Proc) {
+func (pl *Pool) wakeWaiter() {
 	w := pl.waiters[0]
 	copy(pl.waiters, pl.waiters[1:])
 	pl.waiters[len(pl.waiters)-1] = nil
 	pl.waiters = pl.waiters[:len(pl.waiters)-1]
-	w.buf = pl.grant(p)
+	w.buf = pl.grant()
 	w.granted.Set()
 }
 
@@ -247,28 +208,23 @@ func (pl *Pool) Retain(p *occam.Proc, b *Buffer, extra int) {
 	if extra <= 0 {
 		return
 	}
-	pl.applyRefChange(refChange{Index: b.Index, Delta: extra})
+	pl.applyRefChange(b.Index, extra)
 }
 
 // Release drops one reference when a process has finished with a
 // buffer without passing it on. At zero references the buffer returns
 // to the free list — or goes straight to a starved requester.
 func (pl *Pool) Release(p *occam.Proc, b *Buffer) {
-	pl.applyRefChange(refChange{Index: b.Index, Delta: -1})
+	pl.applyRefChange(b.Index, -1)
 	if len(pl.free) > 0 {
 		if pl.wasStarved {
 			pl.wasStarved = false
 			pl.trace.Emit(obs.EvRecover, pl.source, 0, "buffers free again")
 		}
 		if len(pl.waiters) > 0 {
-			pl.wakeWaiter(p)
+			pl.wakeWaiter()
 		}
 	}
-}
-
-// RequestReport asks the allocator to emit a status report.
-func (pl *Pool) RequestReport(p *occam.Proc) {
-	pl.cmd.Send(p, struct{}{})
 }
 
 // Size returns the pool size.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/occam"
 	"repro/internal/segment"
 )
@@ -28,7 +29,7 @@ func testWireBytes(seq uint32) []byte {
 
 func TestGetGrantsDistinctBuffers(t *testing.T) {
 	rt := occam.NewRuntime()
-	pl := New(rt, nil, 4, nil)
+	pl := New(rt, 4)
 	var got []*Buffer
 	rt.Go("user", nil, occam.Low, func(p *occam.Proc) {
 		for i := 0; i < 4; i++ {
@@ -50,7 +51,7 @@ func TestGetGrantsDistinctBuffers(t *testing.T) {
 
 func TestGetBlocksWhenExhaustedUntilRelease(t *testing.T) {
 	rt := occam.NewRuntime()
-	pl := New(rt, nil, 2, nil)
+	pl := New(rt, 2)
 	var grantedAt occam.Time
 	rt.Go("hog", nil, occam.Low, func(p *occam.Proc) {
 		a := pl.Get(p)
@@ -74,7 +75,7 @@ func TestGetBlocksWhenExhaustedUntilRelease(t *testing.T) {
 
 func TestReleaseRecyclesBuffer(t *testing.T) {
 	rt := occam.NewRuntime()
-	pl := New(rt, nil, 1, nil)
+	pl := New(rt, 1)
 	indices := map[int]int{}
 	rt.Go("user", nil, occam.Low, func(p *occam.Proc) {
 		for i := 0; i < 5; i++ {
@@ -93,7 +94,7 @@ func TestRetainDelaysRecycling(t *testing.T) {
 	// A buffer sent to two destinations must survive until both
 	// release it.
 	rt := occam.NewRuntime()
-	pl := New(rt, nil, 1, nil)
+	pl := New(rt, 1)
 	var secondGetAt occam.Time
 	rt.Go("splitter", nil, occam.Low, func(p *occam.Proc) {
 		b := pl.Get(p)
@@ -117,7 +118,7 @@ func TestRetainDelaysRecycling(t *testing.T) {
 
 func TestRetainZeroIsNoop(t *testing.T) {
 	rt := occam.NewRuntime()
-	pl := New(rt, nil, 1, nil)
+	pl := New(rt, 1)
 	rt.Go("user", nil, occam.Low, func(p *occam.Proc) {
 		b := pl.Get(p)
 		pl.Retain(p, b, 0)
@@ -129,7 +130,7 @@ func TestRetainZeroIsNoop(t *testing.T) {
 
 func TestGrantedBufferIsClean(t *testing.T) {
 	rt := occam.NewRuntime()
-	pl := New(rt, nil, 1, nil)
+	pl := New(rt, 1)
 	var clean bool
 	rt.Go("user", nil, occam.Low, func(p *occam.Proc) {
 		b := pl.Get(p)
@@ -145,44 +146,31 @@ func TestGrantedBufferIsClean(t *testing.T) {
 	}
 }
 
+// The starvation fault is logged once per episode: counted on
+// allocator_starvations_total and traced as EvOverload, with EvRecover
+// when a buffer comes free again.
 func TestStarvationReport(t *testing.T) {
 	rt := occam.NewRuntime()
-	reports := occam.NewChan[Report](rt, "reports")
-	pl := New(rt, nil, 1, reports)
-	var starved bool
-	rt.Go("collector", nil, occam.High, func(p *occam.Proc) {
-		for {
-			r := reports.Recv(p)
-			if r.Starved {
-				starved = true
-			}
+	reg := obs.New(rt)
+	pl := New(rt, 1)
+	pl.Observe(reg, "b")
+	rt.Go("user", nil, occam.Low, func(p *occam.Proc) {
+		buf := pl.Get(p)
+		p.Sleep(time.Millisecond)
+		pl.Release(p, buf)
+	})
+	run(t, rt, time.Second)
+	if sm, _ := reg.Snapshot().Get("allocator_starvations_total", obs.L("box", "b")); sm.Value != 1 || pl.Starvations() != 1 {
+		t.Fatalf("starvations counter %v, Starvations() %d; want 1", sm.Value, pl.Starvations())
+	}
+	var kinds []obs.EventKind
+	for _, e := range reg.Tracer().Events() {
+		if e.Source == "b.allocator" {
+			kinds = append(kinds, e.Kind)
 		}
-	})
-	rt.Go("user", nil, occam.Low, func(p *occam.Proc) {
-		pl.Get(p)
-	})
-	run(t, rt, time.Second)
-	if !starved {
-		t.Fatal("no starvation report when pool drained")
 	}
-}
-
-func TestStatusReport(t *testing.T) {
-	rt := occam.NewRuntime()
-	reports := occam.NewChan[Report](rt, "reports")
-	pl := New(rt, nil, 3, reports)
-	var rep Report
-	rt.Go("user", nil, occam.Low, func(p *occam.Proc) {
-		pl.Get(p)
-		pl.RequestReport(p)
-		rep = reports.Recv(p)
-	})
-	run(t, rt, time.Second)
-	if rep.Free != 2 || rep.Total != 3 || rep.Starved {
-		t.Fatalf("report %+v", rep)
-	}
-	if rep.String() == "" || (Report{Starved: true}).String() == "" {
-		t.Fatal("empty report strings")
+	if len(kinds) != 2 || kinds[0] != obs.EvOverload || kinds[1] != obs.EvRecover {
+		t.Fatalf("allocator trace %v, want [overload recover]", kinds)
 	}
 }
 
@@ -191,7 +179,7 @@ func TestRetainThenMultiReleaseOrdering(t *testing.T) {
 	// three holders survives the first two releases with its payload
 	// intact, recycles on the third, and only then is re-granted.
 	rt := occam.NewRuntime()
-	pl := New(rt, nil, 1, nil)
+	pl := New(rt, 1)
 	want := testWireBytes(9)
 	var intact [2]bool
 	var regrantAt occam.Time
@@ -226,7 +214,7 @@ func TestReleaseAfterStarvationRecovers(t *testing.T) {
 	// every blocked Get must eventually be served and the starvation
 	// counter records the episode.
 	rt := occam.NewRuntime()
-	pl := New(rt, nil, 2, nil)
+	pl := New(rt, 2)
 	served := 0
 	rt.Go("hog", nil, occam.Low, func(p *occam.Proc) {
 		a := pl.Get(p)
@@ -258,7 +246,7 @@ func TestOverReleasePanics(t *testing.T) {
 	// allocator refuses to mask. applyRefChange is exercised directly:
 	// a panic inside a process goroutine would kill the test binary.
 	rt := occam.NewRuntime()
-	pl := New(rt, nil, 1, nil)
+	pl := New(rt, 1)
 	rt.Go("user", nil, occam.Low, func(p *occam.Proc) {
 		b := pl.Get(p)
 		pl.Release(p, b)
@@ -269,12 +257,12 @@ func TestOverReleasePanics(t *testing.T) {
 			t.Fatal("over-release did not panic")
 		}
 	}()
-	pl.applyRefChange(refChange{Index: 0, Delta: -1})
+	pl.applyRefChange(0, -1)
 }
 
 func TestSizeAndInvalidPool(t *testing.T) {
 	rt := occam.NewRuntime()
-	pl := New(rt, nil, 5, nil)
+	pl := New(rt, 5)
 	if pl.Size() != 5 {
 		t.Fatalf("Size = %d", pl.Size())
 	}
@@ -284,5 +272,5 @@ func TestSizeAndInvalidPool(t *testing.T) {
 			t.Fatal("zero-size pool accepted")
 		}
 	}()
-	New(occam.NewRuntime(), nil, 0, nil)
+	New(occam.NewRuntime(), 0)
 }

@@ -11,6 +11,12 @@
 // allocated by the destination box in their VCIs" — a Message's VCI
 // is exactly that stream number.
 //
+// Engine: the network owns no processes. A link is a timer-driven
+// state machine (see Link) that hands each message it delivers to the
+// destination host's Rx with a scheduler-context send, so a slow host
+// holds up that link's transmitter — not a delivery process — exactly
+// as a real interface waits on its receiver.
+//
 // Ownership: a Message carries one reference to its segment.Wire.
 // Host.Send (and any Transport behind it) consumes that reference on
 // success — delivery hands it to the destination host, and every drop
@@ -185,13 +191,12 @@ type LinkStats struct {
 // handed to the next port on their circuit after the propagation
 // delay.
 //
-// The link is passive: admission (fault hook, loss process, queue
-// bound) runs inline in the arriving message's process or callback,
-// each transmission is one occam.Timer event, and link-to-link
-// forwarding happens directly in the transmission-end callback. Only
-// delivery to a host — which must be able to block on the host's Rx —
-// runs in a process, one per link, woken by an occam.Event raised when
-// a transmission ends at a host hop.
+// The link is passive and owns no process: admission (fault hook, loss
+// process, queue bound) runs inline in the arriving message's process
+// or callback, each transmission is one occam.Timer event, link-to-link
+// forwarding happens directly in the transmission-end callback, and
+// delivery to a host is a scheduler-context send on the host's Rx
+// whose completion starts the next transmission.
 type Link struct {
 	rt   *occam.Runtime
 	nm   string
@@ -217,13 +222,10 @@ type Link struct {
 	txm     Message // message in transmission
 	txBusy  bool
 	txTimer *occam.Timer
-
-	dlvm    Message // message awaiting host delivery
-	dlvHost *Host
-	dlvEv   *occam.Event // high while dlvm awaits runDeliver
+	txNextF func(occam.Sched) // txNext, bound once: a host delivery's completion
 }
 
-// NewLink creates a link and starts its delivery process.
+// NewLink creates an idle link.
 func NewLink(rt *occam.Runtime, name string, cfg LinkConfig) *Link {
 	l := &Link{
 		rt:          rt,
@@ -242,8 +244,7 @@ func NewLink(rt *occam.Runtime, name string, cfg LinkConfig) *Link {
 		faultStalls: obs.NewCounter(),
 	}
 	l.txTimer = occam.NewTimer(rt, l.txDone)
-	l.dlvEv = occam.NewEvent(rt, name+".deliver")
-	rt.Go(name+".tx", nil, occam.High, l.runDeliver)
+	l.txNextF = l.txNext
 	return l
 }
 
@@ -433,8 +434,8 @@ func (l *Link) popTx(now occam.Time) occam.Time {
 
 // txDone is the transmission-end callback (scheduler context): it
 // routes the transmitted message — a link hop forwards inline, a host
-// hop hands off to the delivery process, which alone may block — and
-// starts the next transmission unless a host delivery is pending (the
+// hop is offered on the host's Rx — and starts the next transmission,
+// for a host hop only once the host has taken the message (the
 // transmitter serialises behind its own deliveries, as a real
 // interface does behind a slow receiver).
 func (l *Link) txDone(s occam.Sched) {
@@ -453,36 +454,22 @@ func (l *Link) txDone(s occam.Sched) {
 		case *Link:
 			hop.acceptSched(s, m)
 		case *Host:
-			l.dlvm = m
-			l.dlvHost = hop
-			s.Set(l.dlvEv)
-			return // runDeliver restarts the transmitter
+			hop.Rx.SendSched(s, m, l.txNextF)
+			return
 		default:
 			panic("atm: unknown port type at " + l.nm)
 		}
 	}
+	l.txNext(s)
+}
+
+// txNext starts the next transmission, or idles the transmitter when
+// the queue is empty (scheduler context).
+func (l *Link) txNext(s occam.Sched) {
 	if len(l.queue) > 0 {
 		s.Schedule(l.txTimer, l.popTx(s.Now()))
 	} else {
 		l.txBusy = false
-	}
-}
-
-// runDeliver is the link's one process: it hands messages to their
-// destination host — the only hop that may block, on the host's Rx —
-// and restarts the transmitter when the delivery completes.
-func (l *Link) runDeliver(p *occam.Proc) {
-	for {
-		l.dlvEv.Wait(p)
-		l.dlvEv.Clear()
-		m, h := l.dlvm, l.dlvHost
-		l.dlvm, l.dlvHost = Message{}, nil
-		h.Deliver(p, m)
-		if len(l.queue) > 0 {
-			l.txTimer.Schedule(l.popTx(p.Now()))
-		} else {
-			l.txBusy = false
-		}
 	}
 }
 
@@ -505,10 +492,10 @@ func (h *Host) name() string { return h.nm }
 
 func (h *Host) accept(p *occam.Proc, m Message) { h.Rx.Send(p, m) }
 
-// Deliver hands an arriving message to the host, transferring the
-// message's wire reference. Transport backends (the fabric's egress
-// transmitters, the pandora-node UDP bridge) call this at the end of
-// their delivery path; in-process circuits arrive the same way.
+// Deliver hands an arriving message to the host from process context,
+// blocking until the host takes it, and transfers the message's wire
+// reference. The pandora-node UDP bridge calls this; links and fabric
+// ports, which own no process, offer on Rx with SendSched instead.
 func (h *Host) Deliver(p *occam.Proc, m Message) { h.Rx.Send(p, m) }
 
 // SetTransport replaces the host's outgoing backend (the default is

@@ -1,6 +1,7 @@
 package atm
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -395,4 +396,65 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 		}
 	}()
 	net.AddHost("a")
+}
+
+// waitGoroutines fails t unless the goroutine count falls back to base
+// within a second of Shutdown (unwinding processes exit asynchronously).
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	for i := 0; runtime.NumGoroutine() > base; i++ {
+		if i == 1000 {
+			t.Fatalf("%d goroutines left after Shutdown", runtime.NumGoroutine()-base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// A host slow to take its messages holds up the link's transmitter:
+// the next transmission starts only once the host has taken the last
+// delivery. A run may shut down with a delivery still waiting; the
+// link owns no process, so nothing is left running.
+func TestSlowHostHoldsTransmitter(t *testing.T) {
+	base := runtime.NumGoroutine()
+	rt := occam.NewRuntime()
+	net := New(rt)
+	a, b := net.AddHost("a"), net.AddHost("b")
+	l := net.AddLink("ab", LinkConfig{Bandwidth: 100_000_000})
+	net.OpenCircuit(7, a, b, l)
+	pool := segment.NewWirePool()
+	var took []occam.Time
+	rt.Go("slowrx", nil, occam.High, func(p *occam.Proc) {
+		for {
+			p.Sleep(10 * time.Millisecond)
+			m := b.Rx.Recv(p)
+			took = append(took, p.Now())
+			m.W.Release()
+		}
+	})
+	rt.Go("tx", nil, occam.Low, func(p *occam.Proc) {
+		for i := 0; i < 5; i++ {
+			if err := a.Send(p, Message{VCI: 7, Size: 100, W: audioWire(pool, uint32(i))}); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	if err := rt.RunUntil(occam.Time(35 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	for i, at := range took {
+		if want := occam.Time(time.Duration(i+1) * 10 * time.Millisecond); at != want {
+			t.Fatalf("delivery %d taken at %v, want %v", i, at, want)
+		}
+	}
+	// Three taken; the fourth waits on b's Rx with the transmitter held
+	// behind it, and the fifth is still queued.
+	if len(took) != 3 || len(l.queue) != 1 || !l.txBusy || pool.Leaked() != 2 {
+		t.Fatalf("took %d, queued %d, busy %v, wires out %d; want 3, 1, true, 2",
+			len(took), len(l.queue), l.txBusy, pool.Leaked())
+	}
+	if n := rt.NumProcs(); n != 1 {
+		t.Fatalf("%d live processes, want only the receiver", n)
+	}
+	rt.Shutdown()
+	waitGoroutines(t, base)
 }

@@ -1,6 +1,7 @@
 package udptrans
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -186,4 +187,49 @@ func TestLoopbackRoundTrip(t *testing.T) {
 	if rx.DecodeErrs() != 0 {
 		t.Fatalf("%d decode errors on clean traffic", rx.DecodeErrs())
 	}
+}
+
+// FuzzUDPDecode feeds arbitrary datagrams to Decode: it must reject
+// bad input with an error, never a panic, and any datagram it accepts
+// must survive Encode byte for byte — except flag bits the codec does
+// not define, which Decode ignores and Encode writes as zero — and
+// decode again to the same message.
+func FuzzUDPDecode(f *testing.F) {
+	for _, m := range []atm.Message{
+		{VCI: 42, Size: 10, ChunkIndex: 1, ChunkTotal: 3, Corrupt: true},
+		{VCI: 1, Size: 1 << 20},
+	} {
+		m.W = segment.WireOver(segment.NewAudio(7, 0, [][]byte{make([]byte, segment.BlockSamples)}).Encode(nil))
+		d, err := Encode(nil, m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(d)
+	}
+	f.Add([]byte{})
+	f.Add(make([]byte, headerSize))
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		m, err := Decode(buf)
+		if err != nil {
+			return
+		}
+		re, err := Encode(nil, m)
+		if err != nil {
+			t.Fatalf("accepted datagram does not re-encode: %v", err)
+		}
+		want := append([]byte(nil), buf...)
+		want[5] &= flagCorrupt
+		if !bytes.Equal(re, want) {
+			t.Fatalf("re-encoded datagram differs:\n got %x\nwant %x", re, want)
+		}
+		m2, err := Decode(re)
+		if err != nil {
+			t.Fatalf("re-encoded datagram rejected: %v", err)
+		}
+		if m2.VCI != m.VCI || m2.Size != m.Size || m2.ChunkIndex != m.ChunkIndex ||
+			m2.ChunkTotal != m.ChunkTotal || m2.Corrupt != m.Corrupt ||
+			!bytes.Equal(m2.W.Bytes(), m.W.Bytes()) {
+			t.Fatalf("round trip changed the message: %+v vs %+v", m2, m)
+		}
+	})
 }

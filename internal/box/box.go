@@ -236,9 +236,8 @@ type Box struct {
 
 	host *atm.Host
 
-	// Reports multiplexed to the host (§1.2).
-	Reports *occam.Chan[Report]
-	Log     *HostLog
+	// Log collects the reports multiplexed to the host (§1.2).
+	Log *HostLog
 
 	// Server board.
 	pool      *allocator.Pool
@@ -289,7 +288,7 @@ type Box struct {
 	// Capture board.
 	captureCmds *occam.Chan[captureCmd]
 	camera      *workload.Camera
-	framestore  *video.Framestore
+	framestore  *video.Framestore // allocated with the first camera stream
 
 	// Mixer (display) board.
 	interp      *video.Interpolator
@@ -348,7 +347,7 @@ func New(rt *occam.Runtime, net *atm.Network, cfg Config) *Box {
 		captureNode: occam.NewNode(rt, cfg.Name+".captureT"),
 		mixerNode:   occam.NewNode(rt, cfg.Name+".mixerT"),
 		host:        net.AddHost(cfg.Name),
-		Reports:     occam.NewChan[Report](rt, cfg.Name+".reports"),
+		Log:         &HostLog{},
 		toSwitch:    occam.NewChan[*allocator.Buffer](rt, cfg.Name+".toswitch"),
 		switchCmd:   occam.NewChan[SwitchCommand](rt, cfg.Name+".switchcmd"),
 		netVCI:      make(map[uint32][]uint32),
@@ -358,14 +357,12 @@ func New(rt *occam.Runtime, net *atm.Network, cfg Config) *Box {
 		audioCmds:   occam.NewChan[audioCmd](rt, cfg.Name+".audiocmd"),
 		captureCmds: occam.NewChan[captureCmd](rt, cfg.Name+".capturecmd"),
 		camera:      workload.NewCamera(cfg.CameraW, cfg.CameraH),
-		framestore:  video.NewFramestore(cfg.CameraW, cfg.CameraH),
 		interp:      video.NewInterpolator(),
 		playout:     make(map[uint32]*obs.Histogram),
 		wires:       segment.NewWirePool(),
 	}
 	b.swStats.PerStreamDrops = make(map[uint32]uint64)
-	b.Log = NewHostLog(rt, b.Reports)
-	b.pool = allocator.New(rt, b.serverNode, cfg.PoolBuffers, nil)
+	b.pool = allocator.New(rt, cfg.PoolBuffers)
 	b.pool.Observe(cfg.Obs, cfg.Name)
 	b.trace = cfg.Obs.Tracer()
 	b.observe()
@@ -576,8 +573,8 @@ func (b *Box) StopCamera(p *occam.Proc, stream uint32) {
 	b.captureCmds.Send(p, captureCmd{Stop: stream, HasStop: true})
 }
 
-// RequestSwitchReport asks the switch for a status report on the
-// box's report channel.
+// RequestSwitchReport asks the switch for a status report in the
+// box's host log.
 func (b *Box) RequestSwitchReport(p *occam.Proc) {
 	b.switchCmd.Send(p, SwitchCommand{ReportReq: true})
 }

@@ -329,3 +329,25 @@ func TestMixerPoolSharedAcrossIncomingStreams(t *testing.T) {
 		t.Fatalf("3 plain streams overloaded the audio board (%d late ticks)", dst.AudioStats().LateTicks)
 	}
 }
+
+// Reports from two processes in the same virtual instant both reach the
+// host log: a report is logged as it is made, never dropped for want of
+// a collector ready to take it.
+func TestHostLogKeepsSameInstantReports(t *testing.T) {
+	rt := occam.NewRuntime()
+	defer rt.Shutdown()
+	bx := New(rt, atm.New(rt), Config{Name: "x"})
+	for _, name := range []string{"x.one", "x.two"} {
+		rep := newReporter(name, bx.Log)
+		rt.Go(name, nil, occam.High, func(p *occam.Proc) {
+			p.Sleep(10 * time.Millisecond)
+			rep.Report(p, "status", "hello from %s", name)
+		})
+	}
+	run(t, rt, 20*time.Millisecond)
+	lines := bx.Log.Lines()
+	if len(lines) != 2 || lines[0].At != lines[1].At ||
+		bx.Log.Count("x.one") != 1 || bx.Log.Count("x.two") != 1 {
+		t.Fatalf("host log %v, want one line from each process at 10ms", lines)
+	}
+}

@@ -93,7 +93,7 @@ func (b *Box) appendBufSlots(slots []int, o Output, w segment.Wire) []int {
 // runSwitch is the server data switch: PRI ALT with commands first
 // (principle 4), then ready-channel updates, then data.
 func (b *Box) runSwitch(p *occam.Proc) {
-	rep := newReporter(b.cfg.Name+".switch", b.Reports)
+	rep := newReporter(b.cfg.Name+".switch", b.Log)
 	routes := make(map[uint32]*Route)
 	shed := make(map[uint32]bool) // overload-controller suspensions
 	senders := make([]*decouple.Sender[*allocator.Buffer], numOutBufs)
@@ -459,7 +459,7 @@ func reassemble(m map[uint32]*chunkedVideo, msg atm.Message) (segment.Wire, bool
 // segment is one network message, so "video segments can hold up
 // following audio segments" (§4.2) on the shared first link.
 func (b *Box) runNetOut(p *occam.Proc) {
-	rep := newReporter(b.cfg.Name+".netOut", b.Reports)
+	rep := newReporter(b.cfg.Name+".netOut", b.Log)
 	bufs := [2]*decouple.Buffer[*allocator.Buffer]{b.outBufs[bufNetAudio], b.outBufs[bufNetVideo]}
 	guards := []occam.Guard{
 		bufs[0].Offered(), // principle 2: audio first

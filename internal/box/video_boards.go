@@ -10,10 +10,11 @@ import (
 )
 
 // The capture board (§3.6): the camera writes the framestore
-// continuously; for each open stream, rectangles are read at the
-// stream's fractional frame rate, timed against the camera scan so a
-// block is never read while being written, compressed line by line
-// and despatched as one or more Pandora segments per frame, "each of
+// continuously (here: every frame while a stream is open, the only
+// time anything reads it); for each open stream, rectangles are read
+// at the stream's fractional frame rate, timed against the camera scan
+// so a block is never read while being written, compressed line by
+// line and despatched as one or more Pandora segments per frame, "each of
 // which is despatched as soon as the data is ready, reducing
 // latencies and buffering requirements".
 //
@@ -62,7 +63,10 @@ func unpackLines(dst [][]byte, data []byte) ([][]byte, bool) {
 }
 
 // runCapture drives the camera at 25 Hz and produces segments for
-// every open stream.
+// every open stream. The framestore is allocated with the first stream
+// and written only while a stream is open: no one reads it otherwise,
+// and the camera renders by frame index, so a frame written after a
+// quiet spell is the one the camera would have produced all along.
 func (b *Box) runCapture(p *occam.Proc) {
 	scan := video.Scan{Lines: b.cfg.CameraH, Period: video.FramePeriod}
 	streams := make(map[uint32]*CameraStream)
@@ -95,12 +99,18 @@ func (b *Box) runCapture(p *occam.Proc) {
 					cs.SegsPerFrame = 2
 				}
 				streams[cs.Stream] = &cs
+				if b.framestore == nil {
+					b.framestore = video.NewFramestore(b.cfg.CameraW, b.cfg.CameraH)
+				}
 			case cmd.HasStop:
 				delete(streams, cmd.Stop)
 			}
 		}
+		if len(streams) == 0 {
+			continue
+		}
 		// The camera updates the framestore.
-		b.camera.NextFrameInto(&img)
+		b.camera.FrameInto(&img, frame)
 		b.framestore.WriteLines(&img, 0, b.cfg.CameraH)
 
 		for _, id := range orderedStreamIDs(streams) {
@@ -173,7 +183,7 @@ func orderedStreamIDs(m map[uint32]*CameraStream) []uint32 {
 // whole frames, and copies each completed frame to the display at a
 // scan-safe moment.
 func (b *Box) runDisplay(p *occam.Proc) {
-	rep := newReporter(b.cfg.Name+".display", b.Reports)
+	rep := newReporter(b.cfg.Name+".display", b.Log)
 	scan := video.Scan{Lines: b.cfg.CameraH, Period: video.FramePeriod}
 	assemblers := make(map[uint32]*video.Assembler)
 	var seg segment.Video // reused header view into each wire

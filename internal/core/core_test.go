@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/atm"
 	"repro/internal/box"
+	"repro/internal/fabric"
 	"repro/internal/occam"
 	"repro/internal/video"
 	"repro/internal/workload"
@@ -200,5 +201,45 @@ func TestMultiHopPathWorks(t *testing.T) {
 	}
 	if got := s.Box("lon").Mixer().Stats(st.VCIs["lon"]); got.Segments < 200 {
 		t.Fatalf("multi-hop delivered %d segments", got.Segments)
+	}
+}
+
+// TestOnlyBoardProcessesRun pins the live process count exactly: once
+// the control process has set a call up, only the 13 board processes of
+// each box remain. Links and fabric ports deliver from scheduler
+// context and reports go straight to the host log, so a helper process
+// creeping back into any of them fails here.
+func TestOnlyBoardProcessesRun(t *testing.T) {
+	const perBox = 13
+	for _, tc := range []struct {
+		name  string
+		wire  func(s *System)
+		boxes int
+	}{
+		{"linked", func(s *System) { s.Connect("a", "b", fastLink()) }, 2},
+		{"fabric", func(s *System) {
+			s.AddFabric("f", fabric.Config{})
+			s.AttachFabric("f", "a")
+			s.AttachFabric("f", "b")
+		}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSystem()
+			defer s.Shutdown()
+			s.AddBox(box.Config{Name: "a", Mic: workload.NewTone(400, 10000)})
+			s.AddBox(box.Config{Name: "b", Mic: workload.NewTone(500, 10000)})
+			tc.wire(s)
+			var ab *Stream
+			s.Control(func(p *occam.Proc) { ab, _ = s.AudioCall(p, "a", "b") })
+			if err := s.RunFor(500 * time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.Box("b").Mixer().Stats(ab.VCIs["b"]); got.Segments < 100 {
+				t.Fatalf("a→b delivered %d segments", got.Segments)
+			}
+			if n, want := s.RT.NumProcs(), perBox*tc.boxes; n != want {
+				t.Fatalf("%d live processes, want exactly %d", n, want)
+			}
+		})
 	}
 }

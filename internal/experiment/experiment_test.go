@@ -302,7 +302,7 @@ func TestE17SwitchRateReasonable(t *testing.T) {
 // own, say) changes it. Lower it when a change removes switches; never
 // raise it to make a change pass.
 func TestE17SwitchCountExact(t *testing.T) {
-	const want = 27093
+	const want = 26089
 	if got := e17Switches(); got != want {
 		t.Fatalf("E17 call made %d context switches in %ds, want exactly %d", got, e17Seconds, want)
 	}

@@ -24,15 +24,16 @@
 // *batches* of queued messages per timer event so a deep backlog costs
 // one scheduler wake-up per cell train, not per segment.
 //
-// Engine: the fabric is *passive* — it owns no processes except one
-// transmitter per port. Each port's crossbar shard is a self-
-// perpetuating occam.Timer chain: ingress admission runs inline in the
-// sending host's process, the crossing-end callback routes the message
-// (dense per-VCI table, no allocation) and applies the destination
-// port's admission pipeline, and only delivery — which must be able to
-// block on host backpressure — happens in the port's transmitter
-// process, woken by an occam.Event when an arrival starts a new cell
-// train. Per message the fabric costs two timer events (one crossing,
+// Engine: the fabric is *passive* — it owns no processes. Each port's
+// crossbar shard is a self-perpetuating occam.Timer chain: ingress
+// admission runs inline in the sending host's process, the crossing-end
+// callback routes the message (dense per-VCI table, no allocation) and
+// applies the destination port's admission pipeline, and the egress
+// shard is a second chain: the train-end timer hands the cell train to
+// the host one message at a time with scheduler-context sends on its
+// Rx, each following when the host takes the one before (host
+// backpressure), and after the last it slices and paces the next train.
+// Per message the fabric costs two timer events (one crossing,
 // amortised share of one train) instead of the eight-plus park/wake
 // handshakes of a process-per-stage pipeline, and the ports' shards
 // are independent: port A's backlog never wakes port B's code.
@@ -197,14 +198,13 @@ func (f *Fabric) Attach(h *atm.Host) *Port {
 		faultStal: obs.NewCounter(),
 	}
 	pt.crossTimer = occam.NewTimer(f.rt, pt.crossDone)
-	pt.txWake = occam.NewTimer(f.rt, func(s occam.Sched) { s.Set(pt.txEv) })
-	pt.txEv = occam.NewEvent(f.rt, pt.nm+".txwake")
+	pt.trainTimer = occam.NewTimer(f.rt, pt.deliver)
+	pt.deliverF = pt.deliver
 	f.ports = append(f.ports, pt)
 	if f.reg != nil {
 		pt.observe(f.reg)
 	}
 	h.SetTransport(pt)
-	f.rt.Go(pt.nm+".tx", nil, occam.High, pt.runTx)
 	return pt
 }
 
@@ -338,13 +338,13 @@ func (f *Fabric) Stats() PortStats {
 
 // Port is one fabric port: the attachment point of one host, with its
 // own bounded ingress and egress queues, crossbar timer chain, and
-// batching egress transmitter process, plus optional fault hook and
+// batching egress transmitter chain, plus optional fault hook and
 // overload controller.
 //
 // Queue/engine state is touched from two contexts — attached
-// processes (Send, runTx, the degrade controller's gauge reads) and
-// crossing-end timer callbacks — which the occam runtime serialises;
-// see the occam scheduler-context rules.
+// processes (Send, the degrade controller's gauge reads) and the
+// scheduler-context timer callbacks and delivery completions — which
+// the occam runtime serialises; see the occam scheduler-context rules.
 type Port struct {
 	fab  *Fabric
 	id   int
@@ -360,16 +360,17 @@ type Port struct {
 	crossBusy  bool
 	crossTimer *occam.Timer
 
-	// Egress shard: the bounded cell queue, the train being
-	// transmitted, and the transmitter process. txBusy covers the whole
-	// train lifecycle (pacing + delivery); txWake fires at train end
-	// and raises txEv to hand the sliced train to runTx for delivery.
-	egq     []atm.Message
-	egCells int
-	batch   []atm.Message // current cell train (reused)
-	txBusy  bool
-	txWake  *occam.Timer
-	txEv    *occam.Event
+	// Egress shard: the bounded cell queue and the train being
+	// transmitted. txBusy covers the whole train lifecycle (pacing +
+	// delivery); trainTimer fires at train end and starts delivering
+	// batch from index next.
+	egq        []atm.Message
+	egCells    int
+	batch      []atm.Message // current cell train (reused)
+	next       int           // batch index of the next message to deliver
+	txBusy     bool
+	trainTimer *occam.Timer
+	deliverF   func(occam.Sched) // deliver, bound once: each delivery's completion
 
 	shed  map[uint32]bool
 	fault atm.FaultHook
@@ -623,10 +624,10 @@ func (pt *Port) egArrive(s occam.Sched, m atm.Message) {
 	}
 	if !pt.txBusy && len(pt.egq) > 0 {
 		// Idle transmitter: this arrival starts a cell train now. Slice
-		// it, pace it, and wake runTx at train end to deliver.
+		// it, pace it, and deliver it at train end.
 		pt.txBusy = true
 		pt.slice()
-		s.Schedule(pt.txWake, pt.trainEnd(now))
+		s.Schedule(pt.trainTimer, pt.trainEnd(now))
 	}
 }
 
@@ -635,6 +636,7 @@ func (pt *Port) egArrive(s occam.Sched, m atm.Message) {
 // BatchCells. The batch buffer is reused train to train.
 func (pt *Port) slice() {
 	pt.batch = pt.batch[:0]
+	pt.next = 0
 	got := 0
 	for len(pt.egq) > 0 {
 		n := cells(pt.egq[0].Size)
@@ -678,36 +680,30 @@ func (pt *Port) trainEnd(now occam.Time) occam.Time {
 	return now + occam.Time(tx+cfg.Propagation+maxDelay)
 }
 
-// runTx is the port's one process: it delivers finished cell trains to
-// the attached host — the only fabric step that may block (host
-// backpressure) — and paces follow-on trains while backlog remains.
-// It sleeps on txEv whenever the port goes idle; egArrive slices the
-// train that wakes it.
-func (pt *Port) runTx(p *occam.Proc) {
-	for {
-		pt.txEv.Wait(p)
-		pt.txEv.Clear()
-		for {
-			for i := range pt.batch {
-				m := pt.batch[i]
-				pt.forwarded.Inc()
-				pt.bytes.Add(uint64(m.Size))
-				pt.cellsTx.Add(uint64(cells(m.Size)))
-				pt.fold(m)
-				pt.host.Deliver(p, m)
-				pt.batch[i] = atm.Message{}
-			}
-			if len(pt.egq) == 0 {
-				pt.txBusy = false
-				break
-			}
-			// Backlog: slice the next train at delivery-complete time
-			// and sleep out its transmission.
-			now := p.Now()
-			pt.slice()
-			p.SleepUntil(pt.trainEnd(now))
-		}
+// deliver is the egress chain's delivery step (scheduler context),
+// run at train end and again as the completion of each delivery: it
+// offers the train's next message on the host's Rx — the host takes it
+// when ready, which is the port's backpressure — and once the whole
+// train is delivered, slices the next train and paces it, or idles the
+// transmitter when the queue is empty.
+func (pt *Port) deliver(s occam.Sched) {
+	if pt.next < len(pt.batch) {
+		m := pt.batch[pt.next]
+		pt.batch[pt.next] = atm.Message{}
+		pt.next++
+		pt.forwarded.Inc()
+		pt.bytes.Add(uint64(m.Size))
+		pt.cellsTx.Add(uint64(cells(m.Size)))
+		pt.fold(m)
+		pt.host.Rx.SendSched(s, m, pt.deliverF)
+		return
 	}
+	if len(pt.egq) == 0 {
+		pt.txBusy = false
+		return
+	}
+	pt.slice()
+	s.Schedule(pt.trainTimer, pt.trainEnd(s.Now()))
 }
 
 const (

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -232,5 +233,65 @@ func TestFabricDeterministicReplay(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("replay diverged: %#x vs %#x", a, b)
+	}
+}
+
+// A host slow to take its deliveries is the port's backpressure: the
+// train is handed over one message per take, the next train is sliced
+// only once the last message of the current one is taken, and a run may
+// shut down with a delivery still waiting — the port owns no process,
+// so nothing is left running.
+func TestFabricSlowHostBackpressure(t *testing.T) {
+	base := runtime.NumGoroutine()
+	rt := occam.NewRuntime()
+	net := atm.New(rt)
+	fab := New(rt, "fab", Config{})
+	fab.Observe(obs.New(rt))
+	a, b := net.AddHost("a"), net.AddHost("b")
+	fab.Attach(a)
+	pb := fab.Attach(b)
+	fab.Route(0, 10, pb, false)
+	pool := segment.NewWirePool()
+	var took []occam.Time
+	rt.Go("slowrx", nil, occam.High, func(p *occam.Proc) {
+		for {
+			p.Sleep(10 * time.Millisecond)
+			m := b.Rx.Recv(p)
+			took = append(took, p.Now())
+			m.W.Release()
+		}
+	})
+	rt.Go("tx", nil, occam.Low, func(p *occam.Proc) {
+		for i := 0; i < 5; i++ {
+			w := pool.Encode(segment.NewAudio(uint32(i), 0, [][]byte{make([]byte, segment.BlockSamples)}))
+			if err := a.Send(p, atm.Message{VCI: 10, Size: w.Len(), W: w}); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	if err := rt.RunUntil(occam.Time(35 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	for i, at := range took {
+		if want := occam.Time(time.Duration(i+1) * 10 * time.Millisecond); at != want {
+			t.Fatalf("delivery %d taken at %v, want %v", i, at, want)
+		}
+	}
+	// The first arrival made a one-message train; the other four crossed
+	// behind it and left as the second train when the first was taken.
+	// Three taken, the fourth offered, the fifth waiting in the train.
+	if s := pb.Stats(); len(took) != 3 || s.Forwarded != 4 || pb.egCells != 0 || !pb.txBusy || pool.Leaked() != 2 {
+		t.Fatalf("took %d, forwarded %d, queued cells %d, busy %v, wires out %d; want 3, 4, 0, true, 2",
+			len(took), s.Forwarded, pb.egCells, pb.txBusy, pool.Leaked())
+	}
+	if n := rt.NumProcs(); n != 1 {
+		t.Fatalf("%d live processes, want only the receiver", n)
+	}
+	rt.Shutdown()
+	for i := 0; runtime.NumGoroutine() > base; i++ {
+		if i == 1000 {
+			t.Fatalf("%d goroutines left after Shutdown", runtime.NumGoroutine()-base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -473,8 +473,15 @@ type Sample struct {
 	// Value is the counter count or gauge level.
 	Value float64
 
-	// Histogram state (KindHistogram only). Buckets[i] counts
-	// observations ≤ Bounds[i]; the final extra element is overflow.
+	// *HistSample is the histogram state: set for KindHistogram, nil
+	// otherwise. Behind a pointer so the counters and gauges that make
+	// up nearly every snapshot stay small.
+	*HistSample
+}
+
+// HistSample is a histogram's state in a Sample. Buckets[i] counts
+// observations ≤ Bounds[i]; the final extra element is overflow.
+type HistSample struct {
 	Count   uint64
 	Sum     float64
 	Bounds  []float64
@@ -543,9 +550,8 @@ func (r *Registry) Snapshot() Snapshot {
 				sm.Value = e.gauge.Value()
 			}
 		case KindHistogram:
-			sm.Count = e.hist.n
+			sm.HistSample = &HistSample{Count: e.hist.n, Bounds: DefaultLatencyBucketsMs}
 			sm.Buckets, sm.Sum = e.hist.buckets()
-			sm.Bounds = DefaultLatencyBucketsMs
 		}
 		s.Samples = append(s.Samples, sm)
 	}
@@ -599,15 +605,16 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 			case KindCounter:
 				sm.Value -= p.Value
 			case KindHistogram:
-				sm.Count -= p.Count
-				sm.Sum -= p.Sum
-				buckets := append([]uint64(nil), sm.Buckets...)
-				for i := range buckets {
+				h := *sm.HistSample // the current snapshot keeps its own
+				h.Count -= p.Count
+				h.Sum -= p.Sum
+				h.Buckets = append([]uint64(nil), h.Buckets...)
+				for i := range h.Buckets {
 					if i < len(p.Buckets) {
-						buckets[i] -= p.Buckets[i]
+						h.Buckets[i] -= p.Buckets[i]
 					}
 				}
-				sm.Buckets = buckets
+				sm.HistSample = &h
 			}
 		}
 		d.Samples = append(d.Samples, sm)

@@ -317,7 +317,8 @@ func TestDelta(t *testing.T) {
 	c.Add(7)
 	g.Set(9)
 	h.Observe(4 * time.Millisecond)
-	d := r.Snapshot().Delta(prev)
+	cur := r.Snapshot()
+	d := cur.Delta(prev)
 
 	if d.Since != prev.At || d.At != occam.Time(2e9) {
 		t.Fatalf("delta window = %v..%v", d.Since, d.At)
@@ -330,6 +331,10 @@ func TestDelta(t *testing.T) {
 	}
 	if sm, _ := d.Get("h"); sm.Count != 1 || sm.Sum != 4 {
 		t.Fatalf("histogram delta = %+v, want count 1 sum 4", sm)
+	}
+	// Delta leaves the snapshots it was taken from untouched.
+	if sm, _ := cur.Get("h"); sm.Count != 2 {
+		t.Fatalf("Delta changed the current snapshot's histogram to %+v", *sm.HistSample)
 	}
 }
 

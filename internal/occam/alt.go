@@ -77,10 +77,7 @@ func (g *recvGuard[T]) poll(p *Proc) bool {
 	if len(c.sendq) == 0 {
 		return false
 	}
-	w := c.popSend()
-	*g.dst = w.v
-	c.rt.ready(w.p)
-	c.putSend(w)
+	*g.dst = c.takeSend()
 	return true
 }
 

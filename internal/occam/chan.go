@@ -25,9 +25,12 @@ type Chan[T any] struct {
 	regFree  []*altReg[T]
 }
 
+// sendWaiter is one queued sender: a parked process (p), or a
+// scheduler-context send (p nil) whose done runs when v is taken.
 type sendWaiter[T any] struct {
-	p *Proc
-	v T
+	p    *Proc
+	v    T
+	done func(Sched)
 }
 
 type recvWaiter[T any] struct {
@@ -53,19 +56,19 @@ func (c *Chan[T]) Name() string { return c.name }
 // getSend / putSend recycle send waiters. Callers hold mu. A waiter is
 // freed by whoever pops it from sendq (the popper reads v before the
 // sender resumes, and the sender never touches the record again).
-func (c *Chan[T]) getSend(p *Proc, v T) *sendWaiter[T] {
+func (c *Chan[T]) getSend(p *Proc, v T, done func(Sched)) *sendWaiter[T] {
 	if n := len(c.sendFree); n > 0 {
 		w := c.sendFree[n-1]
 		c.sendFree = c.sendFree[:n-1]
-		w.p, w.v = p, v
+		w.p, w.v, w.done = p, v, done
 		return w
 	}
-	return &sendWaiter[T]{p: p, v: v}
+	return &sendWaiter[T]{p: p, v: v, done: done}
 }
 
 func (c *Chan[T]) putSend(w *sendWaiter[T]) {
 	var zero T
-	w.p, w.v = nil, zero
+	w.p, w.v, w.done = nil, zero, nil
 	c.sendFree = append(c.sendFree, w)
 }
 
@@ -107,14 +110,44 @@ func (c *Chan[T]) putReg(r *altReg[T]) {
 	c.regFree = append(c.regFree, r)
 }
 
-// popSend removes and returns the first queued sender. Caller holds mu
-// and owns the returned waiter (must putSend it after reading v).
-func (c *Chan[T]) popSend() *sendWaiter[T] {
+// takeSend removes the first queued sender and returns its value,
+// completing the send: a parked process is made ready, a
+// scheduler-context send runs its done. Caller holds mu.
+func (c *Chan[T]) takeSend() T {
 	w := c.sendq[0]
 	copy(c.sendq, c.sendq[1:])
 	c.sendq[len(c.sendq)-1] = nil
 	c.sendq = c.sendq[:len(c.sendq)-1]
-	return w
+	v, p, done := w.v, w.p, w.done
+	c.putSend(w)
+	if p != nil {
+		c.rt.ready(p)
+	} else {
+		done(Sched{c.rt})
+	}
+	return v
+}
+
+// handOff gives v to the first waiting receiver — a process in Recv,
+// else an alternation holding a Recv guard — and reports whether there
+// was one. Caller holds mu.
+func (c *Chan[T]) handOff(v T) bool {
+	if len(c.recvq) > 0 {
+		w := c.recvq[0]
+		copy(c.recvq, c.recvq[1:])
+		c.recvq[len(c.recvq)-1] = nil
+		c.recvq = c.recvq[:len(c.recvq)-1]
+		w.v = v
+		c.rt.ready(w.p)
+		return true
+	}
+	if a, idx, dst := c.takeAlt(); a != nil {
+		*dst = v
+		a.chosen = idx
+		c.rt.ready(a.p)
+		return true
+	}
+	return false
 }
 
 // Send offers v on the channel, blocking until a receiver (direct or
@@ -123,25 +156,27 @@ func (c *Chan[T]) Send(p *Proc, v T) {
 	rt := c.rt
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	// A receiver already waiting?
-	if len(c.recvq) > 0 {
-		w := c.recvq[0]
-		copy(c.recvq, c.recvq[1:])
-		c.recvq[len(c.recvq)-1] = nil
-		c.recvq = c.recvq[:len(c.recvq)-1]
-		w.v = v
-		rt.ready(w.p)
+	if c.handOff(v) {
 		return
 	}
-	// An alternation waiting on this channel?
-	if a, idx, dst := c.takeAlt(); a != nil {
-		*dst = v
-		a.chosen = idx
-		rt.ready(a.p)
-		return
-	}
-	c.sendq = append(c.sendq, c.getSend(p, v))
+	c.sendq = append(c.sendq, c.getSend(p, v, nil))
 	rt.park(p, stSend, c.name)
+}
+
+// SendSched is Send for scheduler context: it offers v and returns at
+// once, and done runs — in scheduler context, exactly once — when a
+// receiver (direct or via Alt) takes the value. done is where the
+// caller continues, as a process continues after Send returns. If a
+// receiver is already waiting, done runs before SendSched returns;
+// otherwise v queues behind earlier senders, process or not, and done
+// runs inside the Recv or Alt that takes it. A send still queued at
+// Shutdown is dropped with its done never run.
+func (c *Chan[T]) SendSched(s Sched, v T, done func(Sched)) {
+	if c.handOff(v) {
+		done(s)
+		return
+	}
+	c.sendq = append(c.sendq, c.getSend(nil, v, done))
 }
 
 // takeAlt removes the first live (unfired) alternation registration,
@@ -172,11 +207,7 @@ func (c *Chan[T]) Recv(p *Proc) T {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if len(c.sendq) > 0 {
-		w := c.popSend()
-		rt.ready(w.p)
-		v := w.v
-		c.putSend(w)
-		return v
+		return c.takeSend()
 	}
 	w := c.getRecv(p)
 	c.recvq = append(c.recvq, w)
@@ -192,29 +223,10 @@ func (c *Chan[T]) Recv(p *Proc) T {
 // "do not send a segment if the next process down the line is not
 // ready", §2.2 principle 5.)
 func (c *Chan[T]) TrySend(p *Proc, v T) bool {
-	rt := c.rt
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if len(c.recvq) > 0 {
-		w := c.recvq[0]
-		copy(c.recvq, c.recvq[1:])
-		c.recvq[len(c.recvq)-1] = nil
-		c.recvq = c.recvq[:len(c.recvq)-1]
-		w.v = v
-		rt.ready(w.p)
-		return true
-	}
-	if a, idx, dst := c.takeAlt(); a != nil {
-		*dst = v
-		a.chosen = idx
-		rt.ready(a.p)
-		return true
-	}
-	return false
+	c.rt.mu.Lock()
+	defer c.rt.mu.Unlock()
+	return c.handOff(v)
 }
-
-// pending reports whether a sender is waiting. Caller holds mu.
-func (c *Chan[T]) pending() bool { return len(c.sendq) > 0 }
 
 // removeAlt deletes every registration belonging to a, recycling the
 // records. Caller holds mu.

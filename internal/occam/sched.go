@@ -7,28 +7,39 @@ import "container/heap"
 // by dedicated processes of its own. A message pipeline built from
 // processes pays one park/wake cycle per rendezvous; built from a
 // Timer chain it pays one heap operation per paced step and nothing at
-// all for the zero-time bookkeeping in between. The fabric's crossbar,
-// the ATM link transmitters and the decoupling buffers use these to
-// keep their virtual-time behaviour while shedding almost all of their
-// scheduling cost.
+// all for the zero-time bookkeeping in between. The fabric's crossbar
+// and egress, the ATM link transmitters and the decoupling buffers use
+// these to keep their virtual-time behaviour while shedding almost all
+// of their scheduling cost.
 //
 // Two execution contexts exist and must not be confused:
 //
 //   - process context: ordinary user code, running without the
 //     scheduler lock. It may call every blocking primitive, arms
 //     Timers with Timer.Schedule and sets Events with Event.Set.
-//   - scheduler context: a Timer callback, running *inside* the
-//     scheduler with the runtime lock held. It must not block and must
-//     not call anything that re-enters the runtime (Proc methods,
-//     channel operations, Runtime.Now). It receives a Sched capability
-//     and goes through that for everything: Sched.Now, Sched.Schedule,
-//     Sched.Set.
+//   - scheduler context: a Timer callback, or the completion of a
+//     Chan.SendSched, running with the runtime lock held. It must not
+//     block and must not call anything that re-enters the runtime
+//     (Proc methods, Chan.Send/Recv/TrySend, Runtime.Now). It receives
+//     a Sched capability and goes through that for everything:
+//     Sched.Now, Sched.Schedule, Sched.Set — and Chan.SendSched, which
+//     hands a value to a process without blocking.
+//
+// Chan.SendSched is the scheduler-context send: the value waits on the
+// channel like a parked sender's, and the sender's continuation is a
+// callback run when a receiver takes it — from a plain Recv or an Alt
+// guard alike, inside that receiver's operation. A completion is
+// itself scheduler context, so it may send again or arm a Timer; that
+// is how a link transmitter serialises behind its own host deliveries
+// and a fabric port hands a cell train over one message at a time,
+// with no process of their own.
 //
 // Both contexts are serialised with all process code by the runtime
 // lock, so callback code may touch the same plain data structures
 // processes touch, with no extra locking.
 
-// Sched is the capability handle passed to Timer callbacks. It proves
+// Sched is the capability handle passed to Timer callbacks and
+// SendSched completions. It proves
 // the caller is in scheduler context (runtime lock held) and exposes
 // the only operations legal there.
 type Sched struct{ rt *Runtime }
@@ -99,7 +110,7 @@ func (tm *Timer) scheduleLocked(t Time) {
 // Event is a level-triggered wait condition: the bridge from passive
 // state back to a blocked process. It holds one boolean level, which
 // its owner raises (Set) and lowers (Clear) to mirror some condition of
-// its own state — "a delivery is pending", "the queue has room". A
+// its own state — "an item is on offer", "the queue has room". A
 // process waits for the level either by blocking in Wait or by putting
 // the Event itself in an Alt as a guard, which is ready while the level
 // is high. Waiting never lowers the level: a waiter that finds it high

@@ -4,27 +4,19 @@ import "repro/internal/video"
 
 // Camera generates deterministic synthetic camera frames: a smooth
 // gradient with a bright moving block, enough structure to exercise
-// the DPCM codec, sub-sampling and tear detection.
+// the DPCM codec, sub-sampling and tear detection. A frame depends only
+// on its index, so a capture board that skips frames nobody reads
+// renders the same pixels for the ones it does.
 type Camera struct {
-	w, h  int
-	frame int
+	w, h int
 }
 
 // NewCamera returns a camera of the given dimensions.
 func NewCamera(w, h int) *Camera { return &Camera{w: w, h: h} }
 
-// NextFrame produces the next frame.
-func (c *Camera) NextFrame() *video.Frame {
-	f := new(video.Frame)
-	c.NextFrameInto(f)
-	return f
-}
-
-// NextFrameInto renders the next frame into f, reusing its pixel
-// storage; every pixel is overwritten.
-func (c *Camera) NextFrameInto(f *video.Frame) {
-	n := c.frame
-	c.frame++
+// FrameInto renders frame n into f, reusing its pixel storage; every
+// pixel is overwritten.
+func (c *Camera) FrameInto(f *video.Frame, n int) {
 	f.Reuse(c.w, c.h)
 	for y := 0; y < c.h; y++ {
 		for x := 0; x < c.w; x++ {

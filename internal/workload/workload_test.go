@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/mulaw"
@@ -191,16 +192,38 @@ func TestRampDeterministic(t *testing.T) {
 	}
 }
 
-func TestCameraNextFrameIntoMatchesNextFrame(t *testing.T) {
-	// Rendering into one reused frame must give the same pixels as a
-	// fresh frame each time: every pixel is overwritten.
-	fresh, reused := NewCamera(32, 16), NewCamera(32, 16)
-	var f video.Frame
-	for n := 0; n < 40; n++ {
-		want := fresh.NextFrame()
-		reused.NextFrameInto(&f)
-		if f.W != want.W || f.H != want.H || !bytes.Equal(f.Pix, want.Pix) {
-			t.Fatalf("frame %d differs when rendered into a reused frame", n)
+// TestCameraFrameIntoMatchesSequential checks that rendering by frame
+// index reproduces the camera's sequential rendering (one frame per
+// 40 ms scan from frame 0): the same pixels whatever order frames are
+// rendered in or how many are skipped, into one reused frame. The
+// digests pin the first 300 frames of the sequential camera.
+func TestCameraFrameIntoMatchesSequential(t *testing.T) {
+	for _, tc := range []struct {
+		w, h int
+		want uint64
+	}{
+		{32, 16, 0x096516bc8e10e765},
+		{128, 64, 0x56e324aea6e95865},
+	} {
+		cam := NewCamera(tc.w, tc.h)
+		const frames = 300
+		seq := make([][]byte, frames)
+		h := fnv.New64a()
+		for n := 0; n < frames; n++ {
+			f := new(video.Frame)
+			cam.FrameInto(f, n)
+			seq[n] = f.Pix
+			h.Write(f.Pix)
+		}
+		if got := h.Sum64(); got != tc.want {
+			t.Fatalf("%dx%d: sequential digest %#016x, want %#016x", tc.w, tc.h, got, tc.want)
+		}
+		var f video.Frame
+		for n := frames - 1; n >= 0; n -= 7 { // backwards, skipping frames
+			cam.FrameInto(&f, n)
+			if f.W != tc.w || f.H != tc.h || !bytes.Equal(f.Pix, seq[n]) {
+				t.Fatalf("%dx%d: frame %d differs when rendered out of order into a reused frame", tc.w, tc.h, n)
+			}
 		}
 	}
 }
